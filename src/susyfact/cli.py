@@ -158,6 +158,9 @@ def _parse_weight(op: SecondOrderOperator, text: Optional[str]) -> Poly:
         raise UsageError(str(e))
 
 
+TOL_KEYS = ("endpoint_tol",)
+
+
 def _parse_tols(text: Optional[str]) -> dict:
     out = {}
     if not text:
@@ -166,8 +169,11 @@ def _parse_tols(text: Optional[str]) -> dict:
         if "=" not in item:
             raise UsageError(f"bad --tol-overrides entry {item!r} (expected key=value)")
         k, v = item.split("=", 1)
+        k = k.strip()
+        if k not in TOL_KEYS:
+            raise UsageError(f"unknown --tol-overrides key {k!r}; known: " + ", ".join(TOL_KEYS))
         try:
-            out[k.strip()] = float(v)
+            out[k] = float(v)
         except ValueError:
             raise UsageError(f"bad tolerance value {v!r}")
     return out
@@ -312,7 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output JSON path (stdout if omitted)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed recorded in reports (all pipelines are deterministic)")
-        p.add_argument("--tol-overrides", help="comma list key=value of tolerance overrides")
 
     p = sub.add_parser("check", help="test the kernel conditions for candidate weights")
     common(p)
@@ -337,6 +342,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flow", help="heteroclinic orbit and monotonicity report")
     common(p, operator_inputs=False)
+    p.add_argument("--tol-overrides",
+                   help="comma list key=value of tolerance overrides; keys: " + ", ".join(TOL_KEYS))
     p.set_defaults(fn=cmd_flow)
 
     p = sub.add_parser("obstruct", help="transport obstruction diagnostics")

@@ -325,18 +325,21 @@ def quintic_bound_probe(cfg: ChainConfig, points: Sequence[Sequence[float]],
             raise FlowError(f"probe integration failed at {point}")
         ts = np.geomspace(1e-4, t_max, n_samples)
         deltas = np.array([sol.sol(t)[-1] for t in ts])
-        if np.any(deltas <= 0):
-            bad = ts[deltas <= 0]
-            raise FlowError(f"Lyapunov increment non-positive at t={bad[0]} from {point}")
-        # fit on the smallest window where the increment is above round-off
         usable = ts[deltas >= 1e-10]
         if len(usable) == 0:
             raise FlowError(f"increment below round-off everywhere from {point}")
         t0 = usable[0]
-        mask = (ts >= t0) & (ts <= min(4.5 * t0, t_max))
+        # before t0 the increment (~t^5 / C at degenerate points) is below
+        # what the integrator resolves, so there it need only stay above -atol
+        resolvable = ts >= t0
+        bad = ts[(resolvable & (deltas <= 0)) | (deltas <= -1e-16)]
+        if len(bad):
+            raise FlowError(f"Lyapunov increment non-positive at t={bad[0]} from {point}")
+        # fit on the smallest window where the increment is above round-off
+        mask = resolvable & (ts <= min(4.5 * t0, t_max))
         slope = np.polyfit(np.log(ts[mask]), np.log(deltas[mask]), 1)[0]
         case = cascade_check(cfg, point).case
-        C_witness = float(np.max(ts ** 5 / deltas))
+        C_witness = float(np.max(ts[resolvable] ** 5 / deltas[resolvable]))
         out.append({"point": [float(v) for v in point], "case": case,
                     "slope": float(slope), "C_witness": C_witness,
                     "min_delta": float(np.min(deltas))})

@@ -29,14 +29,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import flow, spectral
-from .models import ChainConfig, chain_phi0, chain_var, hamiltonian_p
+from .models import ChainConfig, chain_var, hamiltonian_p
 from .polyalg import Poly
 
 
@@ -208,42 +207,7 @@ def eq17_reduction(cfg: ChainConfig) -> Poly:
     """The substitution psi_m = (2/alpha_1) deltaW + u turns the degree-m
     transport equation into nu(u) = (2/alpha_2 - 2/alpha_1) y2 . d_{x2} deltaW;
     returns the reduced right side, computed as RHS - nu((2/alpha_1) deltaW)."""
-    space = cfg.space
-    shifted = rhs_full(cfg) - flow.nu_apply(cfg, 2 * (1 / cfg.alpha1) * cfg.deltaW)
-    return shifted
-
-
-def vanishing_hierarchy_check(cfg: ChainConfig, gamma1: Optional[flow.Trajectory] = None,
-                              perturbed_data: float = 0.0) -> dict:
-    """Uniqueness demonstration for the below-degree-m steps of the
-    hierarchy: transported along gamma1 with zero initial data, the Riccati
-    step (degree 2) and the linear steps stay at zero."""
-    if gamma1 is None:
-        gamma1 = flow.heteroclinic_gamma1(cfg)
-    t0, t1 = float(gamma1.times[0]), float(gamma1.times[-1])
-    c = float(cfg.gamma * cfg.alpha2) / 2.0
-    m = _deltaw_degree(cfg)
-
-    def riccati(t, u):
-        return [-c * u[0] * u[0]]
-
-    sol2 = solve_ivp(riccati, (t0, t1), [perturbed_data], method="DOP853",
-                     rtol=1e-10, atol=1e-12, dense_output=True)
-    ts = np.linspace(t0, t1, 200)
-    sup2 = float(np.max(np.abs(sol2.sol(ts)[0])))
-
-    linear_sups = {}
-    for mu in range(3, m):
-        def lin(t, u):
-            return [0.0]
-        solmu = solve_ivp(lin, (t0, t1), [perturbed_data], method="DOP853",
-                          rtol=1e-10, atol=1e-12, dense_output=True)
-        linear_sups[mu] = float(np.max(np.abs(solmu.sol(ts)[0])))
-
-    all_zero = sup2 < 1e-10 and all(s < 1e-10 for s in linear_sups.values())
-    return {"riccati_sup": sup2, "linear_sups": linear_sups,
-            "initial_data": perturbed_data,
-            "all_zero": bool(all_zero) if perturbed_data == 0.0 else None}
+    return rhs_full(cfg) - flow.nu_apply(cfg, 2 * (1 / cfg.alpha1) * cfg.deltaW)
 
 
 # ------------------------------------------------------------ eigencoords
@@ -531,58 +495,38 @@ def run_obstruction(cfg: ChainConfig, pert: Optional[Perturbation] = None,
 
 # --------------------------------------------------- invariant subspace
 
-def invariant_subspace_check(cfg: ChainConfig, t_max: float = 20.0) -> dict:
-    """The second block is invariant for the Hamilton flow of p: symbolically,
-    every component of d_{w2} p and d_{omega2} p vanishes on {w2=0, omega2=0};
-    numerically, a trajectory launched with (w2, omega) = 0 stays on the
-    subspace and its first block follows exp(t nu_1)."""
+def invariant_subspace_check(cfg: ChainConfig) -> dict:
+    """The second block is invariant for the Hamilton flow of p, and on it
+    the flow is the nu_1 flow, as exact identities in Q[h]:
+
+    * every d_{w2} p and d_{omega2} p vanishes on {w2 = 0, omega2 = 0};
+    * on the zero section S = {w2 = 0, omega = 0} every d_{w1} p vanishes,
+      so omega1 stays 0, and d_{omega1} p equals the nu_1 components, so
+      the w1 motion is the nu_1 flow.
+
+    symbolic_zero is true when every identity holds.  numeric_drift is the
+    largest |coefficient| of the restricted off-subspace components and
+    nu1_flow_relative_difference that of the restricted nu_1 difference;
+    both are 0.0 exactly when the identities hold.  The two float keys keep
+    the names of the numerical integrations they replace, for compatibility
+    with existing readers of the report."""
     _deltaw_degree(cfg)
     p, phase = hamiltonian_p(cfg)
     space = cfg.space
-    w2_names = list(space.block_vars("w2"))
-    omega2_names = [nm + "'" for nm in w2_names]
-    restrict = w2_names + omega2_names
-    symbolic_ok = True
-    for nm in restrict:
-        if not p.partial(nm).restrict_zero(restrict).is_zero:
-            symbolic_ok = False
-
-    # Hamilton flow: dw/dt = d_omega p, domega/dt = -d_w p
-    names = list(space.names)
-    dual = [nm + "'" for nm in names]
-    dw = [p.partial(d).compiled() for d in dual]
-    domega = [(-p.partial(nm)).compiled() for nm in names]
-    dim = len(names)
-
-    def rhs(t, s):
-        return np.array([f(s) for f in dw] + [f(s) for f in domega])
-
-    w1_names = list(space.block_vars("w1"))
-    state0 = np.zeros(2 * dim)
-    # a generic start on the subspace, inside the well region
-    seeds = {"x1": 0.6, "y1": 0.1, "z1": 0.5}
-    for nm in w1_names:
-        kind = nm[0]
-        state0[names.index(nm)] = seeds.get(f"{kind}1", 0.0)
-    sol = solve_ivp(rhs, (0.0, t_max), state0, method="DOP853", rtol=1e-11,
-                    atol=1e-13, dense_output=True)
-    if not sol.success:
-        raise ObstructionError(f"Hamilton flow integration failed: {sol.message}")
-    ts = np.linspace(0.0, t_max, 100)
-    states = sol.sol(ts).T
-    off_idx = [names.index(nm) for nm in w2_names] + \
-              [dim + names.index(nm) for nm in names]
-    drift = float(np.max(np.abs(states[:, off_idx])))
-
-    # the projected dynamics must be the nu_1 flow; the forward orbit leaves
-    # every compact set (phi0 is strictly increasing off the stationary
-    # points), so the comparison is relative to the state magnitude
-    _, nu_rhs = flow.nu_field(cfg)
-    nu_sol = solve_ivp(nu_rhs, (0.0, t_max), state0[:dim], method="DOP853",
-                       rtol=1e-11, atol=1e-13, dense_output=True)
-    w1_idx = [names.index(nm) for nm in w1_names]
-    ref = nu_sol.sol(ts).T[:, w1_idx]
-    scale = 1.0 + np.max(np.abs(ref), axis=1)
-    diff = float(np.max(np.max(np.abs(states[:, w1_idx] - ref), axis=1) / scale))
-    return {"symbolic_zero": bool(symbolic_ok), "numeric_drift": drift,
+    w1_names = space.block_vars("w1")
+    w2_names = space.block_vars("w2")
+    block2 = list(w2_names) + [nm + "'" for nm in w2_names]
+    section = list(w2_names) + [nm + "'" for nm in space.names]
+    off = [p.partial(nm).restrict_zero(block2) for nm in block2]
+    off += [p.partial(nm).restrict_zero(section) for nm in w1_names]
+    nu = flow.nu_components(cfg)
+    nu1_diff = [(p.partial(nm + "'") - nu[space.index(nm)].lift(phase)).restrict_zero(section)
+                for nm in w1_names]
+    drift = _max_abs_coefficient(off)
+    diff = _max_abs_coefficient(nu1_diff)
+    return {"symbolic_zero": drift == 0.0 and diff == 0.0, "numeric_drift": drift,
             "nu1_flow_relative_difference": diff}
+
+
+def _max_abs_coefficient(polys: Sequence[Poly]) -> float:
+    return float(max((abs(c) for q in polys for c in q.terms.values()), default=0))

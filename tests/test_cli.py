@@ -44,6 +44,12 @@ def test_usage_errors(capsys):
     assert rc == EXIT_USAGE
     rc, _ = run(capsys, "check", "--model", "not_a_model")
     assert rc == EXIT_USAGE
+    # --tol-overrides exists on flow only, with known keys only
+    rc, _ = run(capsys, "check", "--model", "witten_harmonic", "--phi", "x1^2",
+                "--tol-overrides", "endpoint_tol=1")
+    assert rc == EXIT_USAGE
+    rc, _ = run(capsys, "flow", "--config", "chain_unequal", "--tol-overrides", "bogus=1")
+    assert rc == EXIT_USAGE
 
 
 # -------------------------------------------------------------- subcommands

@@ -153,6 +153,15 @@ def test_quintic_probe_slopes(cfg):
         assert np.isfinite(r["C_witness"]) and r["C_witness"] > 0.0
 
 
+@pytest.mark.parametrize("x1", [0.3, 0.32, 0.5945])
+def test_quintic_probe_fully_degenerate_below_resolution(cfg, x1):
+    # at small t the increment is under the integrator's resolution and its
+    # round-off sign must not fail the probe
+    (r,) = quintic_bound_probe(cfg, [[x1, 0.0, x1, 0.0, 0.0, 0.0]])
+    assert r["case"] == "fully_degenerate"
+    assert abs(r["slope"] - 5.0) < 0.3
+
+
 def test_integrate_events_and_direction(cfg):
     _, rhs = nu_field(cfg)
     traj = integrate(rhs, [0.5, 0.0, 0.1, 0.0, 0.0, 0.0], (0.0, 1.0),

@@ -10,7 +10,7 @@ import pytest
 
 from susyfact import obstruction as ob
 from susyfact.flow import heteroclinic_gamma1
-from susyfact.models import ChainConfig, chain_phi0, default_chain_config
+from susyfact.models import ChainConfig, chain_phi0, default_chain_config, hamiltonian_p
 from susyfact.polyalg import Poly, parse_poly
 
 
@@ -88,10 +88,15 @@ def test_eq17_reduction(cfg):
     assert reduced == parse_poly(sp, "-3/10*x1*x2^2*y2")
 
 
-def test_vanishing_hierarchy(cfg, gamma1):
-    out = ob.vanishing_hierarchy_check(cfg, gamma1)
-    assert out["all_zero"]
-    assert out["riccati_sup"] < 1e-10
+def test_vanishing_hierarchy():
+    # zero components below degree m solve every graded equation below m:
+    # the residual of psi = 0 lives in degree m only
+    for eq in (False, True):
+        c = default_chain_config(equal_temperature=eq)
+        (m,) = c.deltaW.homogeneous_components("w2")
+        assert set(ob.graded_residual(c, {})) == {m}
+        zeros = {k: Poly.zero(c.space) for k in range(m)}
+        assert set(ob.graded_residual(c, zeros)) == {m}
 
 
 # ------------------------------------------------------------- eigencoords
@@ -167,8 +172,30 @@ def test_equal_temperature_short_circuit():
 
 # ----------------------------------------------------- invariant subspace
 
-def test_invariant_subspace(cfg):
+def test_invariant_subspace():
+    for eq in (False, True):
+        out = ob.invariant_subspace_check(default_chain_config(equal_temperature=eq))
+        assert out["symbolic_zero"] is True
+        assert out["numeric_drift"] == 0.0
+        assert out["nu1_flow_relative_difference"] == 0.0
+
+
+def _leaky_hamiltonian(leak: str):
+    def leaky(cfg):
+        p, phase = hamiltonian_p(cfg)
+        return p + parse_poly(phase, leak), phase
+    return leaky
+
+
+def test_invariant_subspace_detects_block_leak(cfg, monkeypatch):
+    monkeypatch.setattr(ob, "hamiltonian_p", _leaky_hamiltonian("x1*x2'"))
     out = ob.invariant_subspace_check(cfg)
-    assert out["symbolic_zero"] is True
-    assert out["numeric_drift"] < 1e-9
-    assert out["nu1_flow_relative_difference"] < 1e-8
+    assert out["symbolic_zero"] is False
+    assert out["numeric_drift"] > 0.0
+
+
+def test_invariant_subspace_detects_nu1_mismatch(cfg, monkeypatch):
+    monkeypatch.setattr(ob, "hamiltonian_p", _leaky_hamiltonian("x1*x1'"))
+    out = ob.invariant_subspace_check(cfg)
+    assert out["symbolic_zero"] is False
+    assert out["nu1_flow_relative_difference"] > 0.0

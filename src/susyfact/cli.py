@@ -310,44 +310,45 @@ def _build_parser() -> argparse.ArgumentParser:
                '"1/4*x1^4 - 1/2*x1^2 + h*y1".')
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, operator_inputs=True):
-        if operator_inputs:
-            p.add_argument("--operator", help="operator spec JSON file")
-            p.add_argument("--model", help="bundled model name")
-        p.add_argument("--config", help="chain config JSON (path or bundled name)")
+    operator = (("--operator", "operator spec JSON file"), ("--model", "bundled model name"))
+    config = (("--config", "chain config JSON (path or bundled name)"),)
+
+    def common(p, inputs):
+        for flag, text in inputs:
+            p.add_argument(flag, help=text)
         p.add_argument("--out", help="output JSON path (stdout if omitted)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed recorded in reports (all pipelines are deterministic)")
 
     p = sub.add_parser("check", help="test the kernel conditions for candidate weights")
-    common(p)
+    common(p, operator + config)
     p.add_argument("--phi", help="weight for P(e^{-phi/h}) = 0 (mini-grammar)")
     p.add_argument("--psi", help="weight for P*(e^{-psi/h}) = 0 (default 0)")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("construct", help="build and verify a supersymmetric structure")
-    common(p)
+    common(p, operator + config)
     p.add_argument("--phi", help="left weight (mini-grammar)")
     p.add_argument("--psi", help="right weight (mini-grammar)")
     p.set_defaults(fn=cmd_construct)
 
     p = sub.add_parser("verify-models", help="exact factorization identities of all bundled models")
-    common(p, operator_inputs=False)
+    common(p, ())
     p.set_defaults(fn=cmd_verify_models)
 
     p = sub.add_parser("spectral", help="eigenvalue triples over a Hessian grid")
-    common(p, operator_inputs=False)
+    common(p, ())
     p.add_argument("--w-grid", help="'start:stop:count' or comma-separated w values")
     p.set_defaults(fn=cmd_spectral)
 
     p = sub.add_parser("flow", help="heteroclinic orbit and monotonicity report")
-    common(p, operator_inputs=False)
+    common(p, config)
     p.add_argument("--tol-overrides",
                    help="comma list key=value of tolerance overrides; keys: " + ", ".join(TOL_KEYS))
     p.set_defaults(fn=cmd_flow)
 
     p = sub.add_parser("obstruct", help="transport obstruction diagnostics")
-    common(p, operator_inputs=False)
+    common(p, config)
     p.set_defaults(fn=cmd_obstruct)
     return ap
 

@@ -143,54 +143,63 @@ def integrate(rhs, state0: Sequence[float], t_span: tuple[float, float],
     ys = sol.sol(ts).T
     if ts[0] > ts[-1]:
         ts, ys = ts[::-1], ys[::-1]
-    meta = {"nfev": sol.n_eval if hasattr(sol, "n_eval") else sol.nfev,
-            "terminated_by_event": sol.status == 1, "sol": sol.sol,
-            "t_reached": t_end}
+    meta = {"terminated_by_event": sol.status == 1, "sol": sol.sol}
     return Trajectory(ts, ys, meta)
 
 
 # --------------------------------------------------------------- heteroclinic
 
-def _saddle_stable_direction(cfg: ChainConfig) -> tuple[np.ndarray, np.ndarray, float]:
-    """Saddle state, unit stable eigenvector of the linearization, and mu1."""
+def _saddle_and_minima(cfg: ChainConfig) -> tuple[np.ndarray, np.ndarray, float, list[np.ndarray]]:
+    """The saddle among the stationary points, the unit stable eigenvector of
+    its linearization, mu1, and the minima.  W2 is positive definite, so each
+    point is classified by the root triple of W1'' at its x1."""
     if cfg.n != 1 or cfg.gamma != 1:
         raise FlowError("the heteroclinic construction is bundled for n=1, gamma=1")
     space = cfg.space
-    saddle = np.zeros(space.n)  # bundled double well: saddle at the origin
     x1 = chain_var(space, "x", 1)
-    w = float(cfg.W1.partial(x1).partial(x1).evaluate({n: 0.0 for n in space.names}))
-    roots = spectral.cubic_roots(w)
-    neg = [z for z in roots if z.real < -1e-10]
-    if len(neg) != 1:
-        raise FlowError("saddle must have exactly one stable direction")
-    lam = neg[0].real
+    w1pp = cfg.W1.partial(x1).partial(x1)
+    saddles, minima = [], []
+    for pt in stationary_points(cfg):
+        w = w1pp.evaluate(dict(zip(space.names, pt)))
+        cls = spectral.classify_roots(w)
+        if cls == "one_negative":
+            saddles.append((pt, w))
+        elif cls == "all_re_positive":
+            minima.append(pt)
+    if len(saddles) != 1:
+        raise FlowError("the first chain must have exactly one saddle")
+    ((saddle, w),) = saddles
+    lam = spectral.cubic_roots(w)[0].real
     # eigenvector structure (x, lambda x, x / (1 - lambda)) within the w1 block
     vec = np.zeros(space.n)
     vec[space.index(x1)] = 1.0
     vec[space.index(chain_var(space, "y", 1))] = lam
     vec[space.index(chain_var(space, "z", 1))] = 1.0 / (1.0 - lam)
     vec /= np.linalg.norm(vec)
-    if vec[space.index(x1)] < 0:
-        vec = -vec
-    return saddle, vec, -lam
+    return saddle, vec, -lam, minima
 
 
 def heteroclinic_gamma1(cfg: ChainConfig, endpoint_tol: float = 1e-7,
                         time_budget: float = 400.0, n_samples: int = 400) -> Trajectory:
-    """The connecting orbit from the well minimum (t -> -inf) to the saddle
+    """The connecting orbit from a well minimum (t -> -inf) to the saddle
     (t -> +inf), parametrized with t = 0 at the shooting seed near the
-    saddle.  Endpoint residuals are recorded in meta and enforced."""
+    saddle.  The seed is tried on the side of increasing x1 first; each side
+    targets its nearest minimum.  Endpoint residuals are recorded in meta and
+    enforced."""
     space = cfg.space
-    saddle, stable, mu1 = _saddle_stable_direction(cfg)
-    minimum = np.zeros(space.n)
-    minimum[space.index(chain_var(space, "x", 1))] = 1.0
-    minimum[space.index(chain_var(space, "z", 1))] = 1.0
+    saddle, stable, mu1, minima = _saddle_and_minima(cfg)
+    ix1 = space.index(chain_var(space, "x", 1))
     _, rhs = nu_field(cfg)
-    eps = 1e-6 * float(np.linalg.norm(minimum - saddle))
     phi0_fn = chain_phi0(cfg).compiled()
 
     last_error = None
     for sign in (+1.0, -1.0):
+        side = [p for p in minima if sign * (p[ix1] - saddle[ix1]) > 0]
+        if not side:
+            last_error = FlowError("no minimum on the side of the saddle the seed leaves to")
+            continue
+        minimum = min(side, key=lambda p: abs(p[ix1] - saddle[ix1]))
+        eps = 1e-6 * float(np.linalg.norm(minimum - saddle))
         seed = saddle + sign * eps * stable
         try:
             traj = _shoot(rhs, seed, saddle, minimum, endpoint_tol, time_budget, n_samples)
@@ -203,9 +212,6 @@ def heteroclinic_gamma1(cfg: ChainConfig, endpoint_tol: float = 1e-7,
             last_error = FlowError("seed fell on the wrong side of the saddle")
             continue
         traj.meta["mu1"] = mu1
-        traj.meta["stable_direction"] = stable
-        traj.meta["saddle"] = saddle
-        traj.meta["minimum"] = minimum
         return traj
     raise last_error or FlowError("heteroclinic shooting failed")
 
@@ -233,7 +239,6 @@ def _shoot(rhs, seed, saddle, minimum, tol, budget, n_samples) -> Trajectory:
     ys = np.concatenate([back.states[:-1], fwd.states])
     meta = {"endpoint_residual_minimum": float(np.linalg.norm(ys[0] - minimum)),
             "endpoint_residual_saddle": float(np.linalg.norm(ys[-1] - saddle)),
-            "t_minimum": float(ts[0]), "t_saddle": float(ts[-1]),
             "sol_backward": back.meta["sol"], "sol_forward": fwd.meta["sol"]}
     return Trajectory(ts, ys, meta)
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .opcore import SecondOrderOperator, zero_matrix
-from .polyalg import Poly, PolyError, VarSpace, parse_poly
+from .polyalg import Poly, VarSpace, parse_poly, parse_rational
 from .susy import SusyStructure
 
 
@@ -207,11 +207,13 @@ class ChainConfig:
 
 
 def _rat(x) -> Fraction:
+    """An exact rational from an int, a Fraction or a string such as "3/2";
+    floats, decimal strings and booleans are refused."""
     if isinstance(x, str):
+        return parse_rational(x)
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**12)
-    return Fraction(x)
+    raise ModelError(f"not an exact rational: {x!r} (use an integer or a string such as \"3/2\")")
 
 
 def _check_positive_quadratic(W2: Poly, xvars: list[str]):

@@ -151,56 +151,16 @@ def graded_residual(cfg: ChainConfig, psi_components: Mapping[int, Poly]) -> dic
         - d_{x2} deltaW . d_{y2} psi_{mu+2-m}
         - RHS_mu,
 
-    with psi_{j<0} = 0 and the right side concentrated in degree m.
+    with psi_{j<0} = 0 and the right side in degree m: the w2-homogeneous parts
+    of full_residual(cfg, sum_k psi_k), as nu preserves w2 degree (W2 quadratic).
     """
-    space = cfg.space
-    m = _deltaw_degree(cfg)
+    _deltaw_degree(cfg)
+    psi = Poly.zero(cfg.space)
     for k, p in psi_components.items():
-        comps = p.homogeneous_components("w2")
-        if p.is_zero:
-            continue
-        if set(comps) != {k}:
+        if not p.is_zero and set(p.homogeneous_components("w2")) != {k}:
             raise ObstructionError(f"component {k} is not homogeneous of degree {k}")
-
-    def comp(k: int) -> Poly:
-        if k < 0:
-            return Poly.zero(space)
-        return psi_components.get(k, Poly.zero(space))
-
-    degrees = set(psi_components) | {m}
-    mus = set()
-    for mu in degrees:
-        mus.update({mu, mu + m, mu + m - 2})
-    for a in degrees:
-        for b in degrees:
-            mus.update({a + b, a + b - 2})
-    mus = {mu for mu in mus if mu >= 0}
-
-    z1 = [chain_var(space, "z", 1, i) for i in range(cfg.n)]
-    z2 = [chain_var(space, "z", 2, i) for i in range(cfg.n)]
-    x1 = [chain_var(space, "x", 1, i) for i in range(cfg.n)]
-    x2 = [chain_var(space, "x", 2, i) for i in range(cfg.n)]
-    y1 = [chain_var(space, "y", 1, i) for i in range(cfg.n)]
-    y2 = [chain_var(space, "y", 2, i) for i in range(cfg.n)]
-    rhs_m = rhs_full(cfg)
-
-    out: dict[int, Poly] = {}
-    for mu in sorted(mus):
-        r = flow.nu_apply(cfg, comp(mu))
-        for k in range(0, mu + 1):
-            for nm in z1:
-                r = r + Fraction(cfg.gamma * cfg.alpha1, 2) * comp(k).partial(nm) * comp(mu - k).partial(nm)
-            for nm in z2:
-                r = r + Fraction(cfg.gamma * cfg.alpha2, 2) * comp(k + 1).partial(nm) * comp(mu - k + 1).partial(nm)
-        for xn, yn in zip(x1, y1):
-            r = r - cfg.deltaW.partial(xn) * comp(mu - m).partial(yn)
-        for xn, yn in zip(x2, y2):
-            r = r - cfg.deltaW.partial(xn) * comp(mu + 2 - m).partial(yn)
-        if mu == m:
-            r = r - rhs_m
-        if not r.is_zero:
-            out[mu] = r
-    return out
+        psi = psi + p
+    return full_residual(cfg, psi).homogeneous_components("w2")
 
 
 def eq17_reduction(cfg: ChainConfig) -> Poly:

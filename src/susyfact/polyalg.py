@@ -308,21 +308,10 @@ class Poly:
 
     # ------------------------------------------------------------ numerics
     def evaluate(self, point: Mapping[str, float], h: float = 1.0) -> float:
-        vals = []
         for name in self.space.names:
             if name not in point:
                 raise PolyError(f"no value supplied for variable {name!r}")
-            vals.append(float(point[name]))
-        acc = 0.0
-        for (exps, hpow), c in self.sorted_terms():
-            t = float(c)
-            for v, e in zip(vals, exps):
-                if e:
-                    t *= v ** e
-            if hpow:
-                t *= h ** hpow
-            acc += t
-        return acc
+        return self.compiled()([float(point[name]) for name in self.space.names], h)
 
     def compiled(self):
         """Return a fast callable state-vector -> float (variables in space order)."""

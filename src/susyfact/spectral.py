@@ -179,7 +179,7 @@ def F_critical_point() -> tuple[float, float]:
         if gp == 0:
             break
         m -= g / gp
-    return m, float(F(m).real if isinstance(F(m), complex) else F(m))
+    return m, F(m)
 
 
 # ---------------------------------------------------------------- reports

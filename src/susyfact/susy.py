@@ -26,9 +26,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
-from .extcalc import Section, antisym_matrix_from_2vector, homotopy_inverse_delta
+from .extcalc import ExtCalcError, Section, antisym_matrix_from_2vector, homotopy_inverse_delta
 from .opcore import SecondOrderOperator, zero_matrix
-from .polyalg import Poly, VarSpace
+from .polyalg import Poly, PolyError, VarSpace
 
 
 class SusyError(ValueError):
@@ -302,7 +302,7 @@ def construct(P: SecondOrderOperator, phi: Poly, psi: Poly) -> SusyVerdict:
         if P.semiclassical:
             try:
                 rhs = [p.h_shift(-1) for p in vtilde]
-            except Exception:
+            except PolyError:
                 return SusyVerdict("construction_failed",
                                    failure_witness=next(p for p in vtilde if not p.is_zero))
         if all(p.is_zero for p in rhs):
@@ -311,7 +311,7 @@ def construct(P: SecondOrderOperator, phi: Poly, psi: Poly) -> SusyVerdict:
             vfield = Section(space, 1, {(k,): rhs[k] for k in range(n)})
             try:
                 gamma = homotopy_inverse_delta(vfield)
-            except Exception:
+            except (PolyError, ExtCalcError):
                 return SusyVerdict("construction_failed",
                                    failure_witness=next(p for p in rhs if not p.is_zero))
             C = zero_matrix(space)

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 from susyfact.cli import (EXIT_MATH, EXIT_OK, EXIT_USAGE, canonical_json, main)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -50,6 +53,19 @@ def test_usage_errors(capsys):
     assert rc == EXIT_USAGE
     rc, _ = run(capsys, "flow", "--config", "chain_unequal", "--tol-overrides", "bogus=1")
     assert rc == EXIT_USAGE
+    # --config exists only where a command reads it
+    for cmd in ("verify-models", "spectral"):
+        rc, _ = run(capsys, cmd, "--config", "chain_unequal")
+        assert rc == EXIT_USAGE
+
+
+def test_config_rationals_must_be_exact(tmp_path, capsys):
+    base = json.loads(Path("src/susyfact/configs/chain_unequal.json").read_text())
+    for value in (0.5, "0.5", "1e-1", True):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(base, alpha2=value)))
+        rc, _ = run(capsys, "obstruct", "--config", str(path))
+        assert rc == EXIT_USAGE, value
 
 
 # -------------------------------------------------------------- subcommands
@@ -123,6 +139,17 @@ def test_obstruct_command(tmp_path):
     assert rep["invariant_subspace"]["symbolic_zero"] is True
 
 
+def test_obstruct_wells_away_from_one(tmp_path):
+    # the wells of W1 are at x1 = +-2: the heteroclinic endpoints are derived
+    cfg = json.loads(Path("src/susyfact/configs/chain_unequal.json").read_text())
+    path = tmp_path / "wells_pm2.json"
+    path.write_text(json.dumps(dict(cfg, W1="1/16*x1^4 - 1/2*x1^2 + 1")))
+    out = tmp_path / "obs.json"
+    assert main(["obstruct", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    rep = json.loads(out.read_text())
+    assert rep["obstruction"]["verdict"] in ("blowup_at_minimum", "nonsmooth_at_saddle")
+
+
 def test_obstruct_equal_temperature(tmp_path):
     out = tmp_path / "obs_eq.json"
     rc = main(["obstruct", "--config", "chain_equal", "--out", str(out)])
@@ -140,3 +167,28 @@ def test_spectral_determinism(tmp_path):
     assert main(["spectral", "--w-grid=-10:10:50", "--seed", "1",
                  "--out", str(b)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+# The particular structure construct returns is behaviour: these reports of
+# the exact-only commands are pinned byte for byte.  They hold rationals only,
+# so they do not depend on the platform.
+GOLDEN_CASES = [
+    ("check_witten_harmonic.json", EXIT_OK,
+     ["check", "--model", "witten_harmonic", "--phi", "x1^2"]),
+    ("construct_witten_harmonic.json", EXIT_OK,
+     ["construct", "--model", "witten_harmonic", "--phi", "x1^2"]),
+    ("construct_chain_equal.json", EXIT_OK,
+     ["construct", "--config", "chain_equal", "--phi",
+      "1/2 + z2^2 + y2^2 - 2*x2*z2 + 2*x2^2 + z1^2 + y1^2 - 2*x1*z1 + 1/5*x1*x2^3 + 1/2*x1^4"]),
+    ("check_chain_unequal.json", EXIT_MATH,
+     ["check", "--config", "chain_unequal", "--phi",
+      "1/2 + 1/2*z2^2 + 1/2*y2^2 - x2*z2 + x2^2 + z1^2 + y1^2 - 2*x1*z1 + 1/2*x1^4"]),
+    ("verify_models.json", EXIT_OK, ["verify-models"]),
+]
+
+
+def test_exact_reports_match_golden(capsys):
+    for name, want_rc, argv in GOLDEN_CASES:
+        rc = main(argv + ["--seed", "7"])
+        assert rc == want_rc, name
+        assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes(), name

@@ -108,6 +108,16 @@ def test_heteroclinic_endpoints(cfg, gamma1):
     assert np.linalg.norm(traj.states[-1]) < 1e-5
 
 
+def test_heteroclinic_endpoints_follow_the_wells(cfg):
+    # wells at x1 = +-2: the minimum and saddle come from the stationary points
+    from susyfact.models import ChainConfig
+    W1 = parse_poly(cfg.space, "1/16*x1^4 - 1/2*x1^2 + 1")
+    wide = ChainConfig(1, W1, cfg.W2, cfg.deltaW, cfg.alpha1, cfg.alpha2, cfg.gamma)
+    traj = heteroclinic_gamma1(wide)
+    assert np.linalg.norm(traj.states[0] - np.array([2, 0, 2, 0, 0, 0])) < 1e-6
+    assert np.linalg.norm(traj.states[-1]) < 1e-6
+
+
 def test_heteroclinic_stays_in_invariant_block(cfg, gamma1):
     # the second chain never moves along gamma1
     assert np.max(np.abs(gamma1.states[:, 3:])) == 0.0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from susyfact import obstruction as ob
-from susyfact.flow import heteroclinic_gamma1
+from susyfact.flow import heteroclinic_gamma1, nu_apply
 from susyfact.models import ChainConfig, chain_phi0, default_chain_config, hamiltonian_p
 from susyfact.polyalg import Poly, parse_poly
 
@@ -66,6 +66,8 @@ def test_rhs_vanishes_at_equal_temperatures(cfg):
     # psi = 2 deltaW / alpha1 solves the equation exactly
     psi = 2 * (1 / eq.alpha1) * eq.deltaW
     assert ob.full_residual(eq, psi).is_zero
+    (m,) = eq.deltaW.homogeneous_components("w2")
+    assert ob.graded_residual(eq, {m: psi}) == {}
 
 
 def test_graded_residual_sums_to_full(cfg):
@@ -77,6 +79,18 @@ def test_graded_residual_sums_to_full(cfg):
     for p in graded.values():
         total = total + p
     assert total == ob.full_residual(cfg, psi)
+
+
+def test_graded_residual_riccati_step(cfg):
+    # a lone degree-2 component: its degree-2 equation is the Riccati step
+    # nu psi_2 + (gamma/2) alpha_2 (d_{z2} psi_2)^2, with no deltaW term below m
+    sp = cfg.space
+    psi2 = parse_poly(sp, "x2^2 - 1/3*y2*z2 + x1*z2^2")
+    dz2 = psi2.partial("z2")
+    riccati = nu_apply(cfg, psi2) + Fraction(cfg.gamma * cfg.alpha2, 2) * dz2 * dz2
+    assert ob.graded_residual(cfg, {2: psi2})[2] == riccati
+    with pytest.raises(ob.ObstructionError):
+        ob.graded_residual(cfg, {2: parse_poly(sp, "x2^2 + x2")})
 
 
 def test_eq17_reduction(cfg):
@@ -161,6 +175,20 @@ def test_report_json(report):
     assert d["verdict"] == "nonsmooth_at_saddle"
     assert d["lambda_dot_alpha"][0] == report.lambda_dot_alpha.real
     assert isinstance(d["u_samples"], list)
+
+
+def test_alpha2_sweep(gamma1):
+    # alpha2 = 1 degenerates; otherwise only the scale 2/alpha2 - 2/alpha1 of
+    # the linear transport right side changes, so the exponent stays and K
+    # is proportional to |2/alpha2 - 2/alpha1|
+    reps = {a2: ob.run_obstruction(default_chain_config(alpha2=a2), gamma1=gamma1)
+            for a2 in ("1", "3/2", "2", "3")}
+    assert reps["1"].verdict == "inconclusive"
+    ks = []
+    for a2 in ("3/2", "2", "3"):
+        assert abs(reps[a2].exponent - reps["2"].exponent) < 1e-9
+        ks.append(reps[a2].K_magnitude / abs(2 / Fraction(a2) - 2))  # alpha1 = 1
+    assert max(ks) - min(ks) < 1e-6 * min(ks)
 
 
 def test_equal_temperature_short_circuit():

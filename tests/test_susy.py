@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from susyfact import susy
+from susyfact.models import reference_bundles
 from susyfact.opcore import SecondOrderOperator, identity_matrix, laplacian
 from susyfact.polyalg import Poly, VarSpace, parse_poly
 from susyfact.susy import (SusyStructure, assemble_factorization, check_necessary,
@@ -91,6 +93,18 @@ def test_construct_rotation_drift():
                                   semiclassical=False) == P
 
 
+def test_construct_propagates_programming_errors(monkeypatch):
+    # only the exact-algebra failures mean "no structure"; anything else is a bug
+    def broken(vfield):
+        raise TypeError("broken")
+    monkeypatch.setattr(susy, "homotopy_inverse_delta", broken)
+    sp = VarSpace.make(["x1", "x2"])
+    v = (parse_poly(sp, "x2"), parse_poly(sp, "-1*x1"))
+    P = SecondOrderOperator(sp, identity_matrix(sp), v, Poly.zero(sp), False)
+    with pytest.raises(TypeError):
+        construct(P, Poly.zero(sp), Poly.zero(sp))
+
+
 def test_construct_semiclassical_needs_h_in_drift():
     # with D = h d, an h-free first-order term cannot come from a polynomial
     # antisymmetric part
@@ -164,3 +178,11 @@ def test_reference_structures_all_verify():
     rows = verify_reference_structures()
     assert len(rows) == 6
     assert all(r["status"] == "ok" for r in rows)
+
+
+def test_construct_reproduces_reference_structures():
+    # with phi = psi = phi0 the constructed A is the bundled reference exactly
+    for name, b in reference_bundles().items():
+        verdict = construct(b.conjugated, b.phi0, b.phi0)
+        assert verdict.status == "constructed", name
+        assert verdict.structure.A == b.reference_susy.A, name

@@ -361,7 +361,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if e.code not in (0,) else 0
     try:
         return args.fn(args)
-    except UsageError as e:
+    except (UsageError, models.UnsupportedConfig) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (PolyError, ValueError) as e:

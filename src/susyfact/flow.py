@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .models import ChainConfig, chain_phi0, chain_var
+from .models import ChainConfig, UnsupportedConfig, chain_phi0, chain_var
 from .polyalg import Poly
 from . import spectral
 
@@ -149,14 +149,18 @@ def integrate(rhs, state0: Sequence[float], t_span: tuple[float, float],
 
 # --------------------------------------------------------------- heteroclinic
 
-def _saddle_and_minima(cfg: ChainConfig) -> tuple[np.ndarray, np.ndarray, float, list[np.ndarray]]:
+def _saddle_and_targets(cfg: ChainConfig) -> tuple[np.ndarray, np.ndarray, float,
+                                                    list[tuple[float, np.ndarray]]]:
     """The saddle among the stationary points, the unit stable eigenvector of
-    its linearization, mu1, and the minima.  W2 is positive definite, so each
-    point is classified by the root triple of W1'' at its x1."""
+    its linearization, mu1, and the shooting targets: (sign, minimum) for
+    the nearest minimum on each side of the saddle in x1, the side of
+    increasing x1 first.  W2 is positive definite, so each point is
+    classified by the root triple of W1'' at its x1."""
     if cfg.n != 1 or cfg.gamma != 1:
-        raise FlowError("the heteroclinic construction is bundled for n=1, gamma=1")
+        raise UnsupportedConfig("the heteroclinic construction supports n = 1 and gamma = 1 only")
     space = cfg.space
     x1 = chain_var(space, "x", 1)
+    ix1 = space.index(x1)
     w1pp = cfg.W1.partial(x1).partial(x1)
     saddles, minima = [], []
     for pt in stationary_points(cfg):
@@ -167,16 +171,33 @@ def _saddle_and_minima(cfg: ChainConfig) -> tuple[np.ndarray, np.ndarray, float,
         elif cls == "all_re_positive":
             minima.append(pt)
     if len(saddles) != 1:
-        raise FlowError("the first chain must have exactly one saddle")
+        raise UnsupportedConfig(
+            f"W1 has {len(saddles)} saddles; the heteroclinic construction supports "
+            "a first chain with exactly one saddle (a double well)")
     ((saddle, w),) = saddles
     lam = spectral.cubic_roots(w)[0].real
     # eigenvector structure (x, lambda x, x / (1 - lambda)) within the w1 block
     vec = np.zeros(space.n)
-    vec[space.index(x1)] = 1.0
+    vec[ix1] = 1.0
     vec[space.index(chain_var(space, "y", 1))] = lam
     vec[space.index(chain_var(space, "z", 1))] = 1.0 / (1.0 - lam)
     vec /= np.linalg.norm(vec)
-    return saddle, vec, -lam, minima
+    targets = []
+    for sign in (+1.0, -1.0):
+        side = [p for p in minima if sign * (p[ix1] - saddle[ix1]) > 0]
+        if side:
+            targets.append((sign, min(side, key=lambda p: abs(p[ix1] - saddle[ix1]))))
+    return saddle, vec, -lam, targets
+
+
+def heteroclinic_x1_range(cfg: ChainConfig) -> tuple[float, float]:
+    """x1 at the saddle and at the minimum `heteroclinic_gamma1` shoots for
+    first, from the stationary points alone."""
+    saddle, _, _, targets = _saddle_and_targets(cfg)
+    if not targets:
+        raise FlowError("no minimum on either side of the saddle")
+    ix1 = cfg.space.index(chain_var(cfg.space, "x", 1))
+    return float(saddle[ix1]), float(targets[0][1][ix1])
 
 
 def heteroclinic_gamma1(cfg: ChainConfig, endpoint_tol: float = 1e-7,
@@ -186,19 +207,12 @@ def heteroclinic_gamma1(cfg: ChainConfig, endpoint_tol: float = 1e-7,
     saddle.  The seed is tried on the side of increasing x1 first; each side
     targets its nearest minimum.  Endpoint residuals are recorded in meta and
     enforced."""
-    space = cfg.space
-    saddle, stable, mu1, minima = _saddle_and_minima(cfg)
-    ix1 = space.index(chain_var(space, "x", 1))
+    saddle, stable, mu1, targets = _saddle_and_targets(cfg)
     _, rhs = nu_field(cfg)
     phi0_fn = chain_phi0(cfg).compiled()
 
-    last_error = None
-    for sign in (+1.0, -1.0):
-        side = [p for p in minima if sign * (p[ix1] - saddle[ix1]) > 0]
-        if not side:
-            last_error = FlowError("no minimum on the side of the saddle the seed leaves to")
-            continue
-        minimum = min(side, key=lambda p: abs(p[ix1] - saddle[ix1]))
+    last_error = FlowError("no minimum on either side of the saddle")
+    for sign, minimum in targets:
         eps = 1e-6 * float(np.linalg.norm(minimum - saddle))
         seed = saddle + sign * eps * stable
         try:
@@ -213,7 +227,7 @@ def heteroclinic_gamma1(cfg: ChainConfig, endpoint_tol: float = 1e-7,
             continue
         traj.meta["mu1"] = mu1
         return traj
-    raise last_error or FlowError("heteroclinic shooting failed")
+    raise last_error
 
 
 def _shoot(rhs, seed, saddle, minimum, tol, budget, n_samples) -> Trajectory:

@@ -32,6 +32,12 @@ class ModelError(ValueError):
     pass
 
 
+class UnsupportedConfig(ValueError):
+    """A chain config the loader accepts but a pipeline stage does not
+    handle: an input outside the supported regime, not a mathematical
+    negative."""
+
+
 @dataclass(frozen=True)
 class ModelBundle:
     operator: SecondOrderOperator

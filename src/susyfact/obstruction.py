@@ -35,7 +35,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import flow, spectral
-from .models import ChainConfig, chain_var, hamiltonian_p
+from .models import ChainConfig, UnsupportedConfig, chain_var, hamiltonian_p
 from .polyalg import Poly
 
 
@@ -96,10 +96,11 @@ class Perturbation:
 def default_perturbation(cfg: ChainConfig, m: int = 3, support=(0.3, 0.7),
                          sign: int = 1) -> Perturbation:
     """The bundled choice: v(x2) = x2^m, bump supported inside (0, 1) so that
-    it avoids the saddle (x1 = 0) and the minimum (x1 = 1) but is positive on
-    the heteroclinic's x1-range."""
+    it avoids the saddle (x1 = 0) and the minimum (x1 = 1) of the bundled
+    wells but is positive on the heteroclinic's x1-range; `run_obstruction`
+    refuses it for wells whose saddle-minimum interval does not contain it."""
     if cfg.n != 1:
-        raise ObstructionError("the bundled perturbation is for n = 1")
+        raise UnsupportedConfig("the bundled perturbation is for n = 1")
     x2 = Poly.var(cfg.space, chain_var(cfg.space, "x", 2), m)
     return Perturbation(Bump(*support), x2, sign, m)
 
@@ -446,11 +447,26 @@ def run_obstruction(cfg: ChainConfig, pert: Optional[Perturbation] = None,
                                  (), 0.0, math.inf, math.inf, 0.0, "inconclusive",
                                  ("equal bath temperatures: the reduced right side is "
                                   "identically zero and no obstruction arises",))
+    _check_support(cfg, pert.bump)
     if gamma1 is None:
         gamma1 = flow.heteroclinic_gamma1(cfg)
     eig = eigencoords_w2(cfg)
     alpha0 = select_alpha0(cfg, pert, eig)
     return transport_solve(cfg, pert, alpha0, gamma1, eig)
+
+
+def _check_support(cfg: ChainConfig, bump: Bump):
+    """The bump must lie strictly inside the x1-interval between the saddle
+    and the minimum the heteroclinic connects it to; otherwise it vanishes
+    on the orbit or touches an endpoint.  Decided from the stationary
+    points, before any integration."""
+    saddle, minimum = flow.heteroclinic_x1_range(cfg)
+    lo, hi = sorted((saddle, minimum))
+    if not lo < bump.lo < bump.hi < hi:
+        raise UnsupportedConfig(
+            f"the bump support [{bump.lo:g}, {bump.hi:g}] in x1 does not lie inside "
+            f"({saddle:.6g}, {minimum:.6g}), between the saddle and the minimum the "
+            "heteroclinic connects it to")
 
 
 # --------------------------------------------------- invariant subspace

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
@@ -153,28 +154,40 @@ def _monomial_basis(space: VarSpace, max_deg: int, max_hpow: int):
 def _solve_linear_fraction(rows: list[dict[int, Fraction]], rhs: list[Fraction],
                            ncols: int) -> Optional[list[Fraction]]:
     """Exact Gaussian elimination for a sparse rational system; returns one
-    solution (free unknowns set to 0) or None if inconsistent."""
-    rows = [dict(r) for r in rows]
+    solution (free unknowns set to 0) or None if inconsistent.
+
+    Each pivot row is normalised at its leftmost column and holds no column
+    of an earlier pivot, so a row is reduced by visiting the pivots whose
+    columns it touches in creation order: a min-heap of pivot indices, fed
+    with the pivot columns each elimination step brings into the row.
+    """
+    rows = list(rows)
     rhs = list(rhs)
-    pivot_of_col: dict[int, int] = {}
-    order: list[tuple[int, int]] = []  # (row, col) pivots in elimination order
+    pivot_of_col: dict[int, int] = {}  # column -> index into `order`
+    order: list[tuple[int, int]] = []  # (row, col) pivots in creation order
     for r in range(len(rows)):
-        row, b = rows[r], rhs[r]
-        # eliminate with existing pivots
-        for pc, pr in list(pivot_of_col.items()):
+        row = {c: v for c, v in rows[r].items() if v}
+        b = rhs[r]
+        heap = [pivot_of_col[c] for c in row if c in pivot_of_col]
+        heapify(heap)
+        while heap:
+            pr, pc = order[heappop(heap)]
             f = row.get(pc)
-            if f:
-                prow = rows[pr]
-                for c, val in prow.items():
-                    nv = row.get(c, Fraction(0)) - f * val
+            if not f:
+                continue
+            for c, val in rows[pr].items():
+                old = row.get(c)
+                if old is None:
+                    row[c] = -f * val
+                    if c in pivot_of_col:
+                        heappush(heap, pivot_of_col[c])
+                else:
+                    nv = old - f * val
                     if nv:
                         row[c] = nv
                     else:
-                        row.pop(c, None)
-                b -= f * rhs[pr]
-        rhs[r] = b
-        row = {c: v for c, v in row.items() if v}
-        rows[r] = row
+                        del row[c]
+            b -= f * rhs[pr]
         if not row:
             if b != 0:
                 return None
@@ -183,7 +196,7 @@ def _solve_linear_fraction(rows: list[dict[int, Fraction]], rhs: list[Fraction],
         inv = 1 / row[pc]
         rows[r] = {c: v * inv for c, v in row.items()}
         rhs[r] = b * inv
-        pivot_of_col[pc] = r
+        pivot_of_col[pc] = len(order)
         order.append((r, pc))
     sol = [Fraction(0)] * ncols
     for r, pc in reversed(order):
@@ -201,7 +214,9 @@ def _weighted_divergence_solve(space: VarSpace, g: list[Poly], vtilde: list[Poly
     sum_j (D_j - g_j) C_{jk} = vtilde_k for all k, or None.
 
     Bounded-degree ansatz, grown over a short ladder of degree caps; each
-    candidate system is solved exactly over the rationals.
+    candidate system is solved exactly over the rationals.  The system is
+    written from the monomial rule for the image of each unknown; the
+    solution is re-checked through the Poly-level operator `L`.
     """
     n = space.n
     deg_v = max((p.total_degree() for p in vtilde), default=0)
@@ -209,6 +224,8 @@ def _weighted_divergence_solve(space: VarSpace, g: list[Poly], vtilde: list[Poly
     hmax = max((p.max_hpow() for p in vtilde), default=0) + 1
     ladder = sorted({max(0, deg_v - deg_g + 1), deg_v, deg_v + 2})
     pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    dh = 1 if semiclassical else 0
+    g_terms = [list(gj.terms.items()) for gj in g]
 
     def L(C: dict[tuple[int, int], Poly]) -> list[Poly]:
         out = [Poly.zero(space) for _ in range(n)]
@@ -226,36 +243,45 @@ def _weighted_divergence_solve(space: VarSpace, g: list[Poly], vtilde: list[Poly
                 out[k] = out[k] + dC - g[j] * Cjk
         return out
 
+    def image(a: int, b: int, exps: tuple[int, ...], hp: int) -> dict:
+        """L of the unknown C_ab = x^exps h^hp (C_ba = -C_ab), as
+        {(k, term key): coefficient} with zero sums dropped: (D_a - g_a)
+        of it lands in equation b, and (D_b - g_b) of it, negated, in a."""
+        out = {}
+        for k, j, sign in ((b, a, 1), (a, b, -1)):
+            eq: dict = {}
+            e = exps[j]
+            if e:
+                eq[(exps[:j] + (e - 1,) + exps[j + 1:], hp + dh)] = Fraction(sign * e)
+            for (eg, hg), c in g_terms[j]:
+                key = (tuple(x + y for x, y in zip(exps, eg)), hp + hg)
+                eq[key] = eq.get(key, 0) - sign * c
+            out.update(((k, key), c) for key, c in eq.items() if c)
+        return out
+
     for D in ladder:
         basis = _monomial_basis(space, D, hmax)
         unknowns = [(pair, key) for pair in pairs for key in basis]
-        col_of = {u: i for i, u in enumerate(unknowns)}
-        # image of each basis unknown under L
-        eq_rows: dict[tuple[int, tuple], dict[int, Fraction]] = {}
-        for (pair, key), col in col_of.items():
-            img = L({pair: Poly(space, {key: Fraction(1)})})
-            for k in range(n):
-                for tk, c in img[k].terms.items():
-                    eq_rows.setdefault((k, tk), {})[col] = \
-                        eq_rows.get((k, tk), {}).get(col, Fraction(0)) + c
-        for k in range(n):
-            for tk in vtilde[k].terms:
-                eq_rows.setdefault((k, tk), {})
-        keys = sorted(eq_rows.keys())
+        eq_rows: dict[tuple[int, tuple], dict[int, Fraction]] = {
+            (k, tk): {} for k in range(n) for tk in vtilde[k].terms}
+        for col, ((a, b), (exps, hp)) in enumerate(unknowns):
+            for row_key, c in image(a, b, exps, hp).items():
+                eq_rows.setdefault(row_key, {})[col] = c
+        keys = sorted(eq_rows)
         rows = [eq_rows[k] for k in keys]
         rhs = [vtilde[k].terms.get(tk, Fraction(0)) for (k, tk) in keys]
         sol = _solve_linear_fraction(rows, rhs, len(unknowns))
         if sol is None:
             continue
-        C = zero_matrix(space)
-        for (pair, key), col in col_of.items():
-            c = sol[col]
+        terms: dict[tuple[int, int], dict] = {pair: {} for pair in pairs}
+        for (pair, key), c in zip(unknowns, sol):
             if c:
-                j, k = pair
-                mono = Poly(space, {key: c})
-                C[j][k] = C[j][k] + mono
-                C[k][j] = C[k][j] - mono
-        check = L({(j, k): C[j][k] for j in range(n) for k in range(j + 1, n)})
+                terms[pair][key] = c
+        C = zero_matrix(space)
+        for (j, k), t in terms.items():
+            C[j][k] = Poly(space, t)
+            C[k][j] = -C[j][k]
+        check = L({pair: C[pair[0]][pair[1]] for pair in pairs})
         if all((chk - vt).is_zero for chk, vt in zip(check, vtilde)):
             return C
     return None

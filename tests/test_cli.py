@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from susyfact.cli import (EXIT_MATH, EXIT_OK, EXIT_USAGE, canonical_json, main)
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -139,15 +141,49 @@ def test_obstruct_command(tmp_path):
     assert rep["invariant_subspace"]["symbolic_zero"] is True
 
 
+def _unequal_with(tmp_path, **changes) -> str:
+    cfg = json.loads(Path("src/susyfact/configs/chain_unequal.json").read_text())
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(dict(cfg, **changes)))
+    return str(path)
+
+
 def test_obstruct_wells_away_from_one(tmp_path):
     # the wells of W1 are at x1 = +-2: the heteroclinic endpoints are derived
-    cfg = json.loads(Path("src/susyfact/configs/chain_unequal.json").read_text())
-    path = tmp_path / "wells_pm2.json"
-    path.write_text(json.dumps(dict(cfg, W1="1/16*x1^4 - 1/2*x1^2 + 1")))
+    path = _unequal_with(tmp_path, W1="1/16*x1^4 - 1/2*x1^2 + 1")
     out = tmp_path / "obs.json"
-    assert main(["obstruct", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    assert main(["obstruct", "--config", path, "--out", str(out)]) == EXIT_OK
     rep = json.loads(out.read_text())
     assert rep["obstruction"]["verdict"] in ("blowup_at_minimum", "nonsmooth_at_saddle")
+
+
+def test_obstruct_refuses_bump_outside_the_orbit(tmp_path, capsys, monkeypatch):
+    # wells at x1 = +-0.2: the heteroclinic exists, but the bump support
+    # [0.3, 0.7] misses its x1-range; refused as unsupported, before integrating
+    path = _unequal_with(tmp_path, W1="x1^4 - 2/25*x1^2 + 1/625")
+    assert main(["flow", "--config", path]) == EXIT_OK
+    capsys.readouterr()
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated before refusing")
+    monkeypatch.setattr("susyfact.flow.integrate", no_integration)
+    assert main(["obstruct", "--config", path]) == EXIT_USAGE
+    assert "bump support" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("changes, message", [
+    # saddles at x1 = +-1
+    ({"W1": "1/6*x1^6 - 5/4*x1^4 + 2*x1^2"}, "exactly one saddle"),
+    ({"gamma": "2"}, "gamma = 1"),
+    ({"n": 2, "W1": "1/4*x1_1^4 - 1/2*x1_1^2 + 1/4*x1_2^4 - 1/2*x1_2^2",
+      "W2": "1/2*x2_1^2 + 1/2*x2_2^2", "deltaW": "1/10*x1_1*x2_1^3"}, "n = 1"),
+])
+def test_unsupported_regimes_exit_2(tmp_path, capsys, changes, message):
+    # outside the supported regime is a usage error, not a mathematical negative
+    path = _unequal_with(tmp_path, **changes)
+    for command in ("flow", "obstruct"):
+        assert main([command, "--config", path]) == EXIT_USAGE, command
+        assert message in capsys.readouterr().err, command
 
 
 def test_obstruct_equal_temperature(tmp_path):

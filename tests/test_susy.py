@@ -2,21 +2,24 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susyfact import susy
-from susyfact.models import reference_bundles
+from susyfact.cli import canonical_json
+from susyfact.models import ChainConfig, make_chain, reference_bundles
 from susyfact.opcore import SecondOrderOperator, identity_matrix, laplacian
 from susyfact.polyalg import Poly, VarSpace, parse_poly
 from susyfact.susy import (SusyStructure, assemble_factorization, check_necessary,
                            construct, verify_reference_structures,
                            verify_structure)
 
-from conftest import NAMES, polys
+from conftest import NAMES, polys, rationals
 
 
 def matrices(space: VarSpace, **kw):
@@ -186,3 +189,151 @@ def test_construct_reproduces_reference_structures():
         verdict = construct(b.conjugated, b.phi0, b.phi0)
         assert verdict.status == "constructed", name
         assert verdict.structure.A == b.reference_susy.A, name
+
+
+# --------------------------------------------------- the weighted exact solve
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# two 12-variable chains (n = 2 oscillators per bath) that factorize through
+# the weighted linear solve: equal temperatures with coupling, and unequal
+# temperatures without coupling
+N2_BASE = {"n": 2, "W1": "1/4*x1_1^4 - 1/2*x1_1^2 + 1/4 + 1/4*x1_2^4 - 1/2*x1_2^2 + 1/4",
+           "W2": "1/2*x2_1^2 + 1/2*x2_2^2", "alpha1": "1", "gamma": "1"}
+N2_CHAINS = {"equal": dict(N2_BASE, deltaW="1/10*x1_1*x2_1^3", alpha2="1"),
+             "decoupled": dict(N2_BASE, deltaW="0", alpha2="2")}
+
+
+@pytest.mark.parametrize("name", sorted(N2_CHAINS))
+def test_construct_n2_chain_matches_golden(name):
+    # which particular A the weighted solve returns is behaviour: pinned byte for byte
+    b = make_chain(ChainConfig.from_json_dict(N2_CHAINS[name]))
+    verdict = construct(b.conjugated, b.phi0, b.phi0)
+    got = canonical_json(verdict.to_json_dict()).encode()
+    assert got == (GOLDEN / f"construct_chain_n2_{name}.json").read_bytes()
+
+
+def _random_system(rng: random.Random, kind: str):
+    """A sparse rational system of one kind: full column rank and consistent,
+    rank-deficient (dependent rows and free columns) and consistent, or
+    inconsistent (a dependent row with a perturbed right side)."""
+    ncols = rng.randint(2, 8)
+    nrows = ncols + rng.randint(0, 3) if kind == "full" else rng.randint(2, 9)
+
+    def rand_row(width):
+        cols = rng.sample(range(width), rng.randint(1, min(3, width)))
+        return {c: Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 3))
+                for c in cols}
+
+    if kind == "full":
+        # a shuffled triangular core keeps full column rank
+        rows = []
+        for c in range(ncols):
+            row = rand_row(ncols)
+            row = {k: v for k, v in row.items() if k > c}
+            row[c] = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+            rows.append(row)
+        rows += [rand_row(ncols) for _ in range(nrows - ncols)]
+        rng.shuffle(rows)
+    else:
+        # free columns: the last ones are combinations of earlier ones
+        nfree = rng.randint(1, max(1, ncols - 1))
+        base = [rand_row(ncols - nfree) for _ in range(nrows)]
+        mix = [rand_row(ncols - nfree) for _ in range(nfree)]
+        rows = []
+        for r in base:
+            row = dict(r)
+            for f, m in enumerate(mix):
+                val = sum((r.get(c, 0) * v for c, v in m.items()), Fraction(0))
+                if val:
+                    row[ncols - nfree + f] = val
+            rows.append(row)
+        # a dependent row
+        i, j = rng.sample(range(nrows), 2)
+        rows.append({c: rows[i].get(c, 0) + 2 * rows[j].get(c, 0)
+                     for c in set(rows[i]) | set(rows[j])
+                     if rows[i].get(c, 0) + 2 * rows[j].get(c, 0)})
+    x0 = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ncols)]
+    rhs = [sum((v * x0[c] for c, v in row.items()), Fraction(0)) for row in rows]
+    if kind == "inconsistent":
+        rhs[-1] += Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 3))
+    return rows, rhs, ncols
+
+
+@pytest.mark.parametrize("kind", ["full", "deficient", "inconsistent"])
+def test_solve_linear_fraction_against_sympy(kind):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(f"solve:{kind}")
+    for _ in range(40):
+        rows, rhs, ncols = _random_system(rng, kind)
+        A = sympy.Matrix([[sympy.Rational(r.get(c, 0)) for c in range(ncols)] for r in rows])
+        b = sympy.Matrix([sympy.Rational(v) for v in rhs])
+        sol = susy._solve_linear_fraction(rows, rhs, ncols)
+        assert (sol is None) == (A.rank() < A.row_join(b).rank())
+        if kind == "inconsistent":
+            assert sol is None
+        if sol is None:
+            continue
+        assert all(sum((v * sol[c] for c, v in row.items()), Fraction(0)) == r
+                   for row, r in zip(rows, rhs))
+        _, pivots = A.rref()
+        assert all(sol[c] == 0 for c in range(ncols) if c not in pivots)
+
+
+def _terms(n: int, max_deg: int, max_hpow: int, min_deg: int = 0):
+    """One term as (variable indices of the monomial, h power, coefficient)."""
+    mono = st.lists(st.integers(0, n - 1), min_size=min_deg, max_size=max_deg)
+    return st.tuples(mono, st.integers(0, max_hpow), rationals(5, 3).filter(bool))
+
+
+@st.composite
+def _weighted_problems(draw):
+    # G has a term of degree >= 2, so the weight g = dG is not constant
+    n = draw(st.integers(2, 4))
+    G = [draw(_terms(n, 3, 1, min_deg=2))] + draw(st.lists(_terms(n, 3, 1), max_size=3))
+    C0 = {(j, k): draw(st.lists(_terms(n, 2, 0), max_size=2))
+          for j in range(n) for k in range(j + 1, n)}
+    return n, G, C0
+
+
+@given(_weighted_problems(), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_weighted_divergence_solve_round_trip(problem, semiclassical):
+    # vtilde_k = sum_j (D_j - g_j) C0_jk is built with sympy; the solve must
+    # return an antisymmetric C with the same image
+    sympy = pytest.importorskip("sympy")
+    n, G_terms, C0_terms = problem
+    xs = sympy.symbols(NAMES[:n])
+    h = sympy.Symbol("h")
+
+    def expr(terms):
+        return sum((sympy.Rational(c.numerator, c.denominator) * h ** hp
+                    * sympy.Mul(*[xs[i] for i in mono]) for mono, hp, c in terms),
+                   sympy.Integer(0))
+
+    G = expr(G_terms)
+    C0 = [[sympy.Integer(0)] * n for _ in range(n)]
+    for (j, k), terms in C0_terms.items():
+        C0[j][k] = expr(terms)
+        C0[k][j] = -C0[j][k]
+    D = h if semiclassical else 1
+    g = [sympy.diff(G, x) for x in xs]
+    vt = [sympy.expand(sum(D * sympy.diff(C0[j][k], xs[j]) - g[j] * C0[j][k]
+                           for j in range(n))) for k in range(n)]
+
+    sp = VarSpace.make(NAMES[:n])
+
+    def to_poly(e):
+        p = sympy.Poly(e, *xs, h)
+        return Poly(sp, {(m[:n], m[n]): Fraction(int(c.p), int(c.q)) for m, c in p.terms()})
+
+    g_poly, vt_poly = [to_poly(e) for e in g], [to_poly(e) for e in vt]
+    C = susy._weighted_divergence_solve(sp, g_poly, vt_poly, semiclassical)
+    assert C is not None
+    for k in range(n):
+        image = Poly.zero(sp)
+        for j in range(n):
+            assert C[j][k] == -C[k][j]
+            dC = C[j][k].partial(sp.names[j])
+            image = image + (dC.h_shift(1) if semiclassical else dC) - g_poly[j] * C[j][k]
+        assert image == vt_poly[k]

@@ -176,6 +176,8 @@ def _parse_tols(text: Optional[str]) -> dict:
             out[k] = float(v)
         except ValueError:
             raise UsageError(f"bad tolerance value {v!r}")
+        if not (math.isfinite(out[k]) and out[k] > 0):
+            raise UsageError(f"{k} must be finite and positive, got {v!r}")
     return out
 
 
@@ -233,11 +235,15 @@ def _parse_w_grid(text: Optional[str]) -> list[float]:
             raise UsageError(f"bad --w-grid {text!r}")
         if num < 2:
             raise UsageError("--w-grid count must be at least 2")
-        return [a + (b - a) * i / (num - 1) for i in range(num)]
-    try:
-        return [float(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise UsageError(f"bad --w-grid {text!r}")
+        ws = [a + (b - a) * i / (num - 1) for i in range(num)]
+    else:
+        try:
+            ws = [float(v) for v in text.split(",") if v.strip()]
+        except ValueError:
+            raise UsageError(f"bad --w-grid {text!r}")
+    if not all(math.isfinite(w) for w in ws):
+        raise UsageError(f"--w-grid values must be finite, got {text!r}")
+    return ws
 
 
 def cmd_spectral(args) -> int:

@@ -257,14 +257,14 @@ def _shoot(rhs, seed, saddle, minimum, tol, budget, n_samples) -> Trajectory:
     return Trajectory(ts, ys, meta)
 
 
-def gamma1_interpolant(traj: Trajectory) -> Callable[[float], np.ndarray]:
-    """Continuous state as a function of the trajectory's own time variable."""
+def gamma1_interpolant(traj: Trajectory) -> Callable[[np.ndarray], np.ndarray]:
+    """Continuous state as a function of the trajectory's own time variable,
+    clamped to its time range: a (dim,) array at one time, (dim, k) at k."""
     sb, sf = traj.meta["sol_backward"], traj.meta["sol_forward"]
 
-    def state(t: float) -> np.ndarray:
-        if t <= 0:
-            return sb(max(t, traj.times[0]))
-        return sf(min(t, traj.times[-1]))
+    def state(t):
+        t = np.clip(t, traj.times[0], traj.times[-1])
+        return np.where(t <= 0, sb(np.minimum(t, 0.0)), sf(np.maximum(t, 0.0)))
 
     return state
 

@@ -32,7 +32,9 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+# no transport ODE is solved here; the name stays for perfbench/tracer.py,
+# which counts solve_ivp calls through susyfact.obstruction.solve_ivp
+from scipy.integrate import solve_ivp  # noqa: F401
 
 from . import flow, spectral
 from .models import ChainConfig, UnsupportedConfig, chain_var, hamiltonian_p
@@ -45,18 +47,11 @@ class ObstructionError(ValueError):
 
 # ----------------------------------------------------------------- the bump
 
-def _smoothstep(u: float) -> float:
-    if u <= 0.0:
-        return 0.0
-    if u >= 1.0:
-        return 1.0
-    return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
-
-
 @dataclass(frozen=True)
 class Bump:
     """A C^2 piecewise-polynomial bump: quintic smoothstep rise and fall,
-    supported exactly on [lo, hi], equal to 1 at the midpoint."""
+    supported exactly on [lo, hi], equal to 1 at the midpoint.  Evaluates
+    elementwise on arrays."""
 
     lo: float
     hi: float
@@ -65,12 +60,11 @@ class Bump:
         if not self.lo < self.hi:
             raise ObstructionError("empty bump support")
 
-    def __call__(self, x: float) -> float:
+    def __call__(self, x):
         mid = 0.5 * (self.lo + self.hi)
         half = 0.5 * (self.hi - self.lo)
-        if x <= mid:
-            return _smoothstep((x - self.lo) / half)
-        return _smoothstep((self.hi - x) / half)
+        u = np.clip(np.where(x <= mid, (x - self.lo) / half, (self.hi - x) / half), 0.0, 1.0)
+        return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
 
 
 @dataclass(frozen=True)
@@ -93,14 +87,15 @@ class Perturbation:
             raise ObstructionError("homog must be homogeneous of the declared degree")
 
 
-def default_perturbation(cfg: ChainConfig, m: int = 3, support=(0.3, 0.7),
-                         sign: int = 1) -> Perturbation:
-    """The bundled choice: v(x2) = x2^m, bump supported inside (0, 1) so that
-    it avoids the saddle (x1 = 0) and the minimum (x1 = 1) of the bundled
-    wells but is positive on the heteroclinic's x1-range; `run_obstruction`
-    refuses it for wells whose saddle-minimum interval does not contain it."""
+def default_perturbation(cfg: ChainConfig, support=(0.3, 0.7), sign: int = 1) -> Perturbation:
+    """The bundled choice: v(x2) = x2^m with m the w2-degree of the config's
+    deltaW, bump supported inside (0, 1) so that it avoids the saddle
+    (x1 = 0) and the minimum (x1 = 1) of the bundled wells but is positive
+    on the heteroclinic's x1-range; `run_obstruction` refuses it for wells
+    whose saddle-minimum interval does not contain it."""
     if cfg.n != 1:
         raise UnsupportedConfig("the bundled perturbation is for n = 1")
+    m = _deltaw_degree(cfg)
     x2 = Poly.var(cfg.space, chain_var(cfg.space, "x", 2), m)
     return Perturbation(Bump(*support), x2, sign, m)
 
@@ -133,12 +128,17 @@ def full_residual(cfg: ChainConfig, psi: Poly) -> Poly:
 
 
 def _deltaw_degree(cfg: ChainConfig) -> int:
+    """The w2-degree m of deltaW; the hierarchy needs deltaW nonzero and
+    homogeneous of degree m >= 3 in the second block."""
     comps = cfg.deltaW.homogeneous_components("w2")
+    if not comps:
+        raise UnsupportedConfig("deltaW is zero; the obstruction needs a coupling "
+                                "homogeneous of degree at least 3 in x2")
     if len(comps) != 1:
-        raise ObstructionError("deltaW must be homogeneous in the second block")
+        raise UnsupportedConfig("deltaW must be homogeneous in the second block")
     (m,) = comps
     if m < 3:
-        raise ObstructionError("deltaW must have degree at least 3 in x2")
+        raise UnsupportedConfig("deltaW must have degree at least 3 in x2")
     return m
 
 
@@ -291,20 +291,40 @@ class ObstructionReport:
         }
 
 
-def _support_times(bump: Bump, x1_of_t: Callable[[float], float],
-                   t0: float, t1: float) -> tuple[float, float]:
+def _support_times(bump: Bump, x1_of_t: Callable[[np.ndarray], np.ndarray],
+                   t0: float, t1: float) -> tuple[float, float, float, float]:
+    """Scan the orbit on a 4000-point grid: the first and last grid times
+    where the bump is positive, and around them the grid times just outside,
+    between which the whole support lies."""
     ts = np.linspace(t0, t1, 4000)
-    vals = np.array([bump(x1_of_t(t)) for t in ts])
-    nz = np.nonzero(vals > 0.0)[0]
+    nz = np.nonzero(bump(x1_of_t(ts)) > 0.0)[0]
     if len(nz) == 0:
         raise ObstructionError("the bump vanishes identically along the orbit")
-    return float(ts[nz[0]]), float(ts[nz[-1]])
+    i, j = nz[0], nz[-1]
+    return (float(ts[max(i - 1, 0)]), float(ts[i]), float(ts[j]),
+            float(ts[min(j + 1, len(ts) - 1)]))
+
+
+def _cumulative_integral(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> np.ndarray:
+    """The integral of f from edges[0] to each edge, by 20-point
+    Gauss-Legendre on every panel; f is evaluated on the array of nodes."""
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * np.diff(edges)
+    panels = half * (f(mid[:, None] + half[:, None] * nodes) @ weights)
+    return np.concatenate(([0.0], np.cumsum(panels)))
 
 
 def transport_solve(cfg: ChainConfig, pert: Perturbation, alpha: tuple[int, ...],
                     gamma1: flow.Trajectory, eig: Optional[Eigencoords] = None) -> ObstructionReport:
-    """Solve (d/dt + lambda.alpha) u = g_alpha along gamma1 with both
-    boundary normalizations and emit the non-smoothness diagnostics."""
+    """Solve (d/dt + a) u = g_alpha along gamma1, a = lambda.alpha, with both
+    boundary normalizations and emit the non-smoothness diagnostics.
+
+    By variation of constants, with I(t) = int_{s_lo}^t e^{as} g_alpha(s) ds
+    over the support [s_lo, s_hi] of g_alpha and K = I(s_hi), the branch
+    vanishing at the minimum is u_-(t) = e^{-at} I(t) and the branch vanishing
+    at the saddle is u_+(t) = e^{-at} (I(t) - K); outside the support both
+    are exact exponentials."""
     if eig is None:
         eig = eigencoords_w2(cfg)
     space = cfg.space
@@ -322,9 +342,9 @@ def transport_solve(cfg: ChainConfig, pert: Perturbation, alpha: tuple[int, ...]
     c_alpha = coeffs.get(alpha, 0.0)
     state_of_t = flow.gamma1_interpolant(gamma1)
     ix1 = space.index(chain_var(space, "x", 1))
-    x1_of_t = lambda t: float(state_of_t(t)[ix1])
+    x1_of_t = lambda t: state_of_t(t)[ix1]
     t0, t1 = float(gamma1.times[0]), float(gamma1.times[-1])
-    t_lo, t_hi = _support_times(pert.bump, x1_of_t, t0, t1)
+    s_lo, t_lo, t_hi, s_hi = _support_times(pert.bump, x1_of_t, t0, t1)
 
     notes: list[str] = []
     if abs(c_alpha) < 1e-13:
@@ -333,42 +353,33 @@ def transport_solve(cfg: ChainConfig, pert: Perturbation, alpha: tuple[int, ...]
                                  math.inf, 0.0, "inconclusive",
                                  ("g_alpha vanishes identically for this multi-index",))
 
-    def g(t: float) -> complex:
-        return c_alpha * pert.bump(x1_of_t(t))
+    def integrand(s: np.ndarray) -> np.ndarray:
+        return np.exp(a * s) * c_alpha * pert.bump(x1_of_t(s.ravel())).reshape(s.shape)
 
-    def rhs(t, u):
-        uc = complex(u[0], u[1])
-        du = -a * uc + g(t)
-        return [du.real, du.imag]
-
-    # branch vanishing at the minimum (u -> 0 as t -> -inf)
     start = max(t0, t_lo - 2.0)
     span_end = min(t1, t_hi + 6.0)
-    sol_minus = solve_ivp(rhs, (start, span_end), [0.0, 0.0], method="DOP853",
-                          rtol=1e-12, atol=1e-18, dense_output=True)
-    if not sol_minus.success:
-        raise ObstructionError(f"transport integration failed: {sol_minus.message}")
+    ts_samp = np.linspace(start, span_end, 120)
+    # panel edges include every sample time inside the support, so I is
+    # known exactly where it is needed: at edges, or outside the support
+    edges = np.union1d(np.linspace(s_lo, s_hi, 41),
+                       ts_samp[(ts_samp > s_lo) & (ts_samp < s_hi)])
+    cumulative = _cumulative_integral(integrand, edges)
+    K = cumulative[-1]
 
-    def u_minus(t: float) -> complex:
-        v = sol_minus.sol(t)
-        return complex(v[0], v[1])
+    def I_at(ts: np.ndarray) -> np.ndarray:
+        return cumulative[np.searchsorted(edges, np.clip(ts, s_lo, s_hi))]
 
-    # past the support the solution is K e^{-a t}: |u| e^{Re a t} constant
+    # past the support u_- is K e^{-a t}: |u_-| e^{Re a t} constant
     ts_post = np.linspace(t_hi + 0.5, min(t_hi + 4.0, span_end), 60)
-    mods = np.array([abs(u_minus(t)) * math.exp(a.real * t) for t in ts_post])
+    mods = np.abs(np.exp(-a * ts_post) * I_at(ts_post)) * np.exp(a.real * ts_post)
     K_magnitude = float(np.mean(mods))
     constancy = float(np.max(np.abs(mods - K_magnitude)) / K_magnitude) if K_magnitude > 0 else math.inf
 
-    # branch vanishing at the saddle end: integrate backward from span_end,
-    # growth toward the minimum must match e^{Re(a) |t|}
-    sol_plus = solve_ivp(rhs, (span_end, max(t0, t_lo - 14.0)), [0.0, 0.0],
-                         method="DOP853", rtol=1e-12, atol=1e-18, dense_output=True)
-    if not sol_plus.success:
-        raise ObstructionError(f"backward transport integration failed: {sol_plus.message}")
+    # growth of u_+ toward the minimum must match e^{Re(a) |t|}
     fit_lo = max(t0, t_lo - 13.0)
     fit_hi = t_lo - 1.0
     ts_pre = np.linspace(fit_lo, fit_hi, 80)
-    mags = np.array([abs(complex(*sol_plus.sol(t))) for t in ts_pre])
+    mags = np.abs(np.exp(-a * ts_pre) * (I_at(ts_pre) - K))
     if np.any(mags <= 0):
         raise ObstructionError("vanishing tail where exponential growth was expected")
     slope = float(np.polyfit(ts_pre, np.log(mags), 1)[0])
@@ -395,8 +406,10 @@ def transport_solve(cfg: ChainConfig, pert: Perturbation, alpha: tuple[int, ...]
                  "equation is linear, so rescaling deltaW rescales u without changing "
                  "rates or exponents")
 
-    ts_samp = np.linspace(start, span_end, 120)
-    samples = tuple((float(t),) + tuple(map(float, sol_minus.sol(t))) for t in ts_samp)
+    # u_- is exactly 0 before the support (e^{-at} * 0 could print as -0.0)
+    I_samp = I_at(ts_samp)
+    u_samp = np.where(I_samp == 0, 0j, np.exp(-a * ts_samp) * I_samp)
+    samples = tuple((float(t), float(u.real), float(u.imag)) for t, u in zip(ts_samp, u_samp))
     return ObstructionReport(tuple(alpha), a, mu1, exponent, dist, is_integer,
                              samples, tail_rate, float(tail_err), constancy,
                              K_magnitude, verdict, tuple(notes))

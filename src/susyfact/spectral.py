@@ -23,8 +23,7 @@ point m > 1 solves G(lambda) = 1 - 2 lambda (1-lambda)^2 = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -183,71 +182,6 @@ def F_critical_point() -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------- reports
-
-@dataclass(frozen=True)
-class CriticalPointReport:
-    x0: tuple[float, ...]
-    hessian_eigs: tuple[float, ...]
-    N: np.ndarray = field(repr=False)
-    lambdas: tuple[complex, ...]
-    classification: tuple[str, ...]
-    mu1: Optional[float]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "x0": list(self.x0),
-            "hessian_eigs": list(self.hessian_eigs),
-            "lambdas": [[z.real, z.imag] for z in self.lambdas],
-            "classification": list(self.classification),
-            "mu1": self.mu1,
-        }
-
-
-def analyze_critical_point(x0: Sequence[float], hessian_eigs: Sequence[float]) -> CriticalPointReport:
-    """Assemble the linearization and its eigenvalue triples for a critical
-    point with the given (diagonalized) Hessian spectrum."""
-    H = np.diag(np.asarray(hessian_eigs, dtype=float))
-    N = linearization_N(H)
-    lambdas: list[complex] = []
-    classes: list[str] = []
-    mu1: Optional[float] = None
-    for w in hessian_eigs:
-        triple = cubic_roots(float(w))
-        lambdas.extend(triple)
-        cls = classify_roots(float(w))
-        classes.append(cls)
-        if cls == "one_negative":
-            neg = min(z.real for z in triple)
-            mu1 = -neg if mu1 is None else max(mu1, -neg)
-    return CriticalPointReport(tuple(float(x) for x in x0), tuple(float(w) for w in hessian_eigs),
-                               N, tuple(lambdas), tuple(classes), mu1)
-
-
-def eigvec_x_consistency(N: np.ndarray, H: np.ndarray, tol: float = 1e-8) -> dict:
-    """Check that each eigenvector of N has the structure (x, lambda x,
-    x/(1-lambda)) with H x = F(lambda) x.  Returns per-eigenpair residuals."""
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    n = H.shape[0]
-    vals, vecs = np.linalg.eig(N.astype(complex))
-    rows = []
-    ok = True
-    for lam, vec in zip(vals, vecs.T):
-        x, y, z = vec[:n], vec[n:2 * n], vec[2 * n:]
-        nx = np.linalg.norm(x)
-        if nx < 1e-12:
-            rows.append({"lambda": [lam.real, lam.imag], "skipped": "zero x-component"})
-            ok = False
-            continue
-        r1 = np.linalg.norm(y - lam * x) / nx
-        r2 = np.linalg.norm(z - x / (1.0 - lam)) / nx if abs(1.0 - lam) > 1e-12 else float("inf")
-        r3 = np.linalg.norm(H @ x - F(lam) * x) / nx
-        good = r1 < tol and r2 < tol and r3 < tol
-        ok = ok and good
-        rows.append({"lambda": [lam.real, lam.imag],
-                     "resid_y": float(r1), "resid_z": float(r2), "resid_F": float(r3),
-                     "ok": bool(good)})
-    return {"all_ok": bool(ok), "pairs": rows}
-
 
 def w_grid_report(ws: Sequence[float]) -> list[dict]:
     """Root/classification rows over a grid of Hessian eigenvalues."""

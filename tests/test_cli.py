@@ -55,6 +55,14 @@ def test_usage_errors(capsys):
     assert rc == EXIT_USAGE
     rc, _ = run(capsys, "flow", "--config", "chain_unequal", "--tol-overrides", "bogus=1")
     assert rc == EXIT_USAGE
+    # non-finite numbers are usage errors, refused before any computation
+    for argv in (["spectral", "--w-grid", "nan,1"], ["spectral", "--w-grid=0:inf:3"]):
+        rc, _ = run(capsys, *argv)
+        assert rc == EXIT_USAGE, argv
+    for tol in ("nan", "inf", "-1"):
+        rc, _ = run(capsys, "flow", "--config", "chain_unequal",
+                    "--tol-overrides", f"endpoint_tol={tol}")
+        assert rc == EXIT_USAGE, tol
     # --config exists only where a command reads it
     for cmd in ("verify-models", "spectral"):
         rc, _ = run(capsys, cmd, "--config", "chain_unequal")
@@ -155,6 +163,38 @@ def test_obstruct_wells_away_from_one(tmp_path):
     assert main(["obstruct", "--config", path, "--out", str(out)]) == EXIT_OK
     rep = json.loads(out.read_text())
     assert rep["obstruction"]["verdict"] in ("blowup_at_minimum", "nonsmooth_at_saddle")
+
+
+@pytest.mark.parametrize("changes, alpha, exponent", [
+    # mu1 = 1 at the saddle; an adaptive ODE step without max_step crosses this bump
+    ({"W1": "3/8*x1^4 - 3/4*x1^2 + 3/8", "W2": "7/36*x2^2"}, [0, 2, 1], [1.0, 2.0548046676563]),
+    # the perturbation follows the w2-degree m = 4 of deltaW
+    ({"deltaW": "1/10*x1*x2^4"}, [2, 1, 1], [1.6096381027438, -1.7315935245260]),
+])
+def test_obstruct_verdicts(tmp_path, changes, alpha, exponent):
+    path = _unequal_with(tmp_path, **changes)
+    out = tmp_path / "obs.json"
+    assert main(["obstruct", "--config", path, "--out", str(out)]) == EXIT_OK
+    rep = json.loads(out.read_text())["obstruction"]
+    assert rep["verdict"] == "nonsmooth_at_saddle"
+    assert rep["alpha"] == alpha
+    assert abs(complex(*rep["exponent"]) - complex(*exponent)) < 1e-9
+
+
+@pytest.mark.parametrize("deltaW, message", [
+    ("1/10*x1*x2^2", "degree at least 3"),
+    ("0", "deltaW is zero"),
+    ("1/10*x1*x2^3 + x2^4", "homogeneous in the second block"),
+])
+def test_obstruct_refuses_deltaw_outside_the_hierarchy(tmp_path, capsys, monkeypatch,
+                                                       deltaW, message):
+    path = _unequal_with(tmp_path, deltaW=deltaW)
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated before refusing")
+    monkeypatch.setattr("susyfact.flow.integrate", no_integration)
+    assert main(["obstruct", "--config", path]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
 
 
 def test_obstruct_refuses_bump_outside_the_orbit(tmp_path, capsys, monkeypatch):

@@ -139,6 +139,12 @@ def test_gamma1_interpolant(cfg, gamma1):
     # interpolant matches a stored sample
     k = len(gamma1.times) // 2
     assert np.linalg.norm(f(gamma1.times[k]) - gamma1.states[k]) < 1e-8
+    # on an array of times (clamped to the orbit's range), one column per time
+    ts = np.array([gamma1.times[0] - 1.0, -0.5, 0.0, 0.5, gamma1.times[-1] + 1.0])
+    cols = f(ts)
+    assert cols.shape == (6, len(ts))
+    for t, col in zip(ts, cols.T):
+        assert np.allclose(col, f(t), rtol=0, atol=1e-14)
 
 
 def test_trajectory_csv(cfg, gamma1):

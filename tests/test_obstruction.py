@@ -8,8 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from scipy.integrate import solve_ivp
+
 from susyfact import obstruction as ob
-from susyfact.flow import heteroclinic_gamma1, nu_apply
+from susyfact.flow import gamma1_interpolant, heteroclinic_gamma1, nu_apply
 from susyfact.models import ChainConfig, chain_phi0, default_chain_config, hamiltonian_p
 from susyfact.polyalg import Poly, parse_poly
 
@@ -38,6 +40,7 @@ def test_bump_support_and_smoothness():
     xs = np.linspace(0.0, 1.0, 200)
     vals = np.array([b(x) for x in xs])
     assert np.all(vals >= 0.0) and vals.max() > 0.0
+    assert np.array_equal(b(xs), vals)
 
 
 def test_perturbation_validation(cfg):
@@ -189,6 +192,55 @@ def test_alpha2_sweep(gamma1):
         assert abs(reps[a2].exponent - reps["2"].exponent) < 1e-9
         ks.append(reps[a2].K_magnitude / abs(2 / Fraction(a2) - 2))  # alpha1 = 1
     assert max(ks) - min(ks) < 1e-6 * min(ks)
+
+
+def _dop853_transport(cfg, gamma1, rep):
+    """The independent oracle: the transport as an ODE, integrated by DOP853
+    from zero data at the first sample time, with max_step a tenth of the
+    bump's support width in t.  Returns |K| and u_- at the sample times."""
+    pert = ob.default_perturbation(cfg)
+    eig = ob.eigencoords_w2(cfg)
+    coeffs = ob.omega_coefficients(cfg, eig, ob._reduced_rhs_poly(cfg, pert), pert.m)
+    c_alpha, a = coeffs[rep.alpha0], rep.lambda_dot_alpha
+    state = gamma1_interpolant(gamma1)
+    ix1 = cfg.space.index("x1")
+    grid = np.linspace(gamma1.times[0], gamma1.times[-1], 4000)
+    x1 = state(grid)[ix1]
+    inside = grid[(x1 > pert.bump.lo) & (x1 < pert.bump.hi)]
+    width = inside[-1] - inside[0]
+
+    def rhs(t, u):
+        du = -a * complex(u[0], u[1]) + c_alpha * pert.bump(state(t)[ix1])
+        return [du.real, du.imag]
+
+    times = np.array([t for t, _, _ in rep.u_samples])
+    assert times[0] < inside[0] and inside[-1] < times[-1]
+    sol = solve_ivp(rhs, (times[0], times[-1]), [0.0, 0.0], method="DOP853",
+                    rtol=1e-12, atol=1e-18, max_step=width / 10, dense_output=True)
+    assert sol.success
+    u = sol.sol(times)
+    u = u[0] + 1j * u[1]
+    return abs(u[-1]) * math.exp(a.real * times[-1]), u
+
+
+ORACLE_CONFIGS = {
+    "chain_unequal": {},
+    "wells_pm2": {"W1": "1/16*x1^4 - 1/2*x1^2 + 1"},
+    # mu1 = 1 at the saddle; a DOP853 step without max_step crosses this bump
+    "mu1_one": {"W1": "3/8*x1^4 - 3/4*x1^2 + 3/8", "W2": "7/36*x2^2"},
+}
+
+
+@pytest.mark.parametrize("changes", ORACLE_CONFIGS.values(), ids=list(ORACLE_CONFIGS))
+def test_transport_matches_dop853_oracle(cfg, gamma1, changes):
+    if changes:
+        cfg = ChainConfig.from_json_dict(dict(cfg.to_json_dict(), **changes))
+        gamma1 = heteroclinic_gamma1(cfg)
+    rep = ob.run_obstruction(cfg, gamma1=gamma1)
+    K, u = _dop853_transport(cfg, gamma1, rep)
+    assert abs(rep.K_magnitude - K) < 1e-9 * K
+    ours = np.array([complex(re, im) for _, re, im in rep.u_samples])
+    assert np.max(np.abs(ours - u)) < 1e-9 * np.max(np.abs(u))
 
 
 def test_equal_temperature_short_circuit():

@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susyfact.polyalg import VarSpace, parse_poly
-from susyfact.spectral import (F, F_critical_point, G, analyze_critical_point,
-                               classify_roots, critical_points, cubic_roots,
-                               eigvec_x_consistency, linearization_N,
+from susyfact.spectral import (F, F_critical_point, G, classify_roots,
+                               critical_points, cubic_roots, linearization_N,
                                real_roots_univariate, w_grid_report)
 
 
@@ -109,17 +108,22 @@ def test_linearization_block_structure():
                        atol=1e-8)
 
 
-def test_analyze_critical_point_and_eigvec_structure():
-    rep = analyze_critical_point((0.0, 0.0, 0.0), [-1.0])
-    assert rep.classification == ("one_negative",)
-    assert abs(rep.mu1 - 0.7548776662466928) < 1e-10
-    H = np.diag(rep.hessian_eigs)
-    out = eigvec_x_consistency(rep.N, H)
-    assert out["all_ok"]
-    rep2 = analyze_critical_point((1.0, 0.0, 1.0), [2.0])
-    assert rep2.classification == ("all_re_positive",)
-    assert rep2.mu1 is None
-    assert eigvec_x_consistency(rep2.N, np.diag(rep2.hessian_eigs))["all_ok"]
+def test_critical_point_classes_and_eigvec_structure():
+    # the saddle w = -1 and a minimum w = 2 of a double-well Hessian
+    assert classify_roots(-1.0) == "one_negative"
+    assert abs(-min(z.real for z in cubic_roots(-1.0)) - 0.7548776662466928) < 1e-10
+    assert classify_roots(2.0) == "all_re_positive"
+    # every eigenvector of N is (x, lambda x, x / (1 - lambda)) with H x = F(lambda) x
+    for H in (np.array([[-1.0]]), np.array([[2.0]]), np.array([[2.0, 0.5], [0.5, -1.0]])):
+        n = H.shape[0]
+        vals, vecs = np.linalg.eig(linearization_N(H).astype(complex))
+        for lam, vec in zip(vals, vecs.T):
+            x, y, z = vec[:n], vec[n:2 * n], vec[2 * n:]
+            nx = np.linalg.norm(x)
+            assert nx > 1e-12
+            assert np.linalg.norm(y - lam * x) / nx < 1e-8
+            assert np.linalg.norm(z - x / (1.0 - lam)) / nx < 1e-8
+            assert np.linalg.norm(H @ x - F(lam) * x) / nx < 1e-8
 
 
 def test_w_grid_report():

@@ -16,7 +16,8 @@ formatting (sorted keys, 17 significant digits), so identical inputs produce
 byte-identical outputs; trajectories are CSV.
 
 Exit codes: 0 success, 1 mathematical failure (a condition the command was
-asked to verify does not hold), 2 usage or input error.
+asked to verify does not hold), 2 usage or input error, 3 numerical failure
+(the heteroclinic shooting or its integration did not succeed).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_USAGE = 2
+EXIT_NUMERIC = 3
 
 
 class UsageError(Exception):
@@ -370,6 +372,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (UsageError, models.UnsupportedConfig) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except flowmod.FlowError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (PolyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MATH

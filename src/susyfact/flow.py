@@ -176,17 +176,17 @@ def _saddle_and_targets(cfg: ChainConfig) -> tuple[np.ndarray, np.ndarray, float
             "a first chain with exactly one saddle (a double well)")
     ((saddle, w),) = saddles
     lam = spectral.cubic_roots(w)[0].real
-    # eigenvector structure (x, lambda x, x / (1 - lambda)) within the w1 block
     vec = np.zeros(space.n)
-    vec[ix1] = 1.0
-    vec[space.index(chain_var(space, "y", 1))] = lam
-    vec[space.index(chain_var(space, "z", 1))] = 1.0 / (1.0 - lam)
+    vec[[space.index(chain_var(space, c, 1)) for c in "xyz"]] = spectral.eigenvector(lam)
     vec /= np.linalg.norm(vec)
     targets = []
     for sign in (+1.0, -1.0):
         side = [p for p in minima if sign * (p[ix1] - saddle[ix1]) > 0]
         if side:
             targets.append((sign, min(side, key=lambda p: abs(p[ix1] - saddle[ix1]))))
+    if not targets:
+        raise UnsupportedConfig("W1 has no minimum on either side of its saddle; the "
+                                "heteroclinic construction needs a well")
     return saddle, vec, -lam, targets
 
 
@@ -194,14 +194,11 @@ def heteroclinic_x1_range(cfg: ChainConfig) -> tuple[float, float]:
     """x1 at the saddle and at the minimum `heteroclinic_gamma1` shoots for
     first, from the stationary points alone."""
     saddle, _, _, targets = _saddle_and_targets(cfg)
-    if not targets:
-        raise FlowError("no minimum on either side of the saddle")
     ix1 = cfg.space.index(chain_var(cfg.space, "x", 1))
     return float(saddle[ix1]), float(targets[0][1][ix1])
 
 
-def heteroclinic_gamma1(cfg: ChainConfig, endpoint_tol: float = 1e-7,
-                        time_budget: float = 400.0, n_samples: int = 400) -> Trajectory:
+def heteroclinic_gamma1(cfg: ChainConfig, endpoint_tol: float = 1e-7) -> Trajectory:
     """The connecting orbit from a well minimum (t -> -inf) to the saddle
     (t -> +inf), parametrized with t = 0 at the shooting seed near the
     saddle.  The seed is tried on the side of increasing x1 first; each side
@@ -211,12 +208,11 @@ def heteroclinic_gamma1(cfg: ChainConfig, endpoint_tol: float = 1e-7,
     _, rhs = nu_field(cfg)
     phi0_fn = chain_phi0(cfg).compiled()
 
-    last_error = FlowError("no minimum on either side of the saddle")
     for sign, minimum in targets:
         eps = 1e-6 * float(np.linalg.norm(minimum - saddle))
         seed = saddle + sign * eps * stable
         try:
-            traj = _shoot(rhs, seed, saddle, minimum, endpoint_tol, time_budget, n_samples)
+            traj = _shoot(rhs, seed, saddle, minimum, endpoint_tol)
         except FlowError as e:
             last_error = e
             continue
@@ -230,7 +226,9 @@ def heteroclinic_gamma1(cfg: ChainConfig, endpoint_tol: float = 1e-7,
     raise last_error
 
 
-def _shoot(rhs, seed, saddle, minimum, tol, budget, n_samples) -> Trajectory:
+def _shoot(rhs, seed, saddle, minimum, tol) -> Trajectory:
+    """Both legs from the seed, each sampled at 400 times and given up
+    after 400 time units."""
     def near_minimum(t, s):
         return np.linalg.norm(s - minimum) - tol
     near_minimum.terminal = True
@@ -241,12 +239,10 @@ def _shoot(rhs, seed, saddle, minimum, tol, budget, n_samples) -> Trajectory:
     near_saddle.terminal = True
     near_saddle.direction = -1
 
-    back = integrate(rhs, seed, (0.0, -budget), n_samples=n_samples,
-                     events=near_minimum)
+    back = integrate(rhs, seed, (0.0, -400.0), n_samples=400, events=near_minimum)
     if not back.meta["terminated_by_event"]:
         raise FlowError("backward orbit did not reach the minimum within budget")
-    fwd = integrate(rhs, seed, (0.0, budget), n_samples=n_samples,
-                    events=near_saddle)
+    fwd = integrate(rhs, seed, (0.0, 400.0), n_samples=400, events=near_saddle)
     if not fwd.meta["terminated_by_event"]:
         raise FlowError("forward orbit did not reach the saddle within budget")
     ts = np.concatenate([back.times[:-1], fwd.times])

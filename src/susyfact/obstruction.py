@@ -69,17 +69,14 @@ class Bump:
 
 @dataclass(frozen=True)
 class Perturbation:
-    """deltaW(x1, x2) = sign * bump(x1) * homog(x2) with homog a homogeneous
+    """deltaW(x1, x2) = bump(x1) * homog(x2) with homog a homogeneous
     polynomial of degree m >= 3 in the x2 block."""
 
     bump: Bump
     homog: Poly
-    sign: int
     m: int
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ObstructionError("sign must be +1 or -1")
         if self.m < 3:
             raise ObstructionError("the perturbation degree must be at least 3")
         comps = self.homog.homogeneous_components("w2")
@@ -87,7 +84,7 @@ class Perturbation:
             raise ObstructionError("homog must be homogeneous of the declared degree")
 
 
-def default_perturbation(cfg: ChainConfig, support=(0.3, 0.7), sign: int = 1) -> Perturbation:
+def default_perturbation(cfg: ChainConfig) -> Perturbation:
     """The bundled choice: v(x2) = x2^m with m the w2-degree of the config's
     deltaW, bump supported inside (0, 1) so that it avoids the saddle
     (x1 = 0) and the minimum (x1 = 1) of the bundled wells but is positive
@@ -97,7 +94,7 @@ def default_perturbation(cfg: ChainConfig, support=(0.3, 0.7), sign: int = 1) ->
         raise UnsupportedConfig("the bundled perturbation is for n = 1")
     m = _deltaw_degree(cfg)
     x2 = Poly.var(cfg.space, chain_var(cfg.space, "x", 2), m)
-    return Perturbation(Bump(*support), x2, sign, m)
+    return Perturbation(Bump(0.3, 0.7), x2, m)
 
 
 # --------------------------------------------------------- graded hierarchy
@@ -177,40 +174,22 @@ def eq17_reduction(cfg: ChainConfig) -> Poly:
 class Eigencoords:
     lambdas: tuple[complex, ...]
     V: np.ndarray = field(repr=False)      # columns: eigenvectors, w2 = V omega
-    Vinv: np.ndarray = field(repr=False)
 
 
 def eigencoords_w2(cfg: ChainConfig) -> Eigencoords:
-    """Diagonalize the linear field nu_2 on the second block: eigenvalues
-    sorted by (real, imaginary) part, eigenvectors normalized so that the
-    x2-component is 1 (deterministic).  Errors out on Jordan degeneracy."""
-    space = cfg.space
-    x2 = [chain_var(space, "x", 2, i) for i in range(cfg.n)]
-    H = np.zeros((cfg.n, cfg.n))
-    zero_pt = {nm: 0.0 for nm in space.names}
-    for a in range(cfg.n):
-        for b in range(cfg.n):
-            H[a, b] = cfg.W2.partial(x2[a]).partial(x2[b]).evaluate(zero_pt)
-    if cfg.gamma != 1:
-        raise ObstructionError("eigencoordinates are implemented for gamma = 1")
-    N2 = spectral.linearization_N(H)
-    vals, vecs = np.linalg.eig(N2.astype(complex))
-    order = sorted(range(len(vals)), key=lambda i: (vals[i].real, vals[i].imag))
-    vals = vals[order]
-    vecs = vecs[:, order]
-    for i in range(len(vals) - 1):
-        if abs(vals[i] - vals[i + 1]) < 1e-8:
-            raise ObstructionError(
-                "nu_2 has (nearly) degenerate eigenvalues; perturb W2 to avoid Jordan blocks")
-    # normalize on the x2-component (never zero when lambda is an eigenvalue)
-    for i in range(vecs.shape[1]):
-        x_comp = vecs[:cfg.n, i]
-        scale = x_comp[np.argmax(np.abs(x_comp))]
-        if abs(scale) < 1e-10:
-            raise ObstructionError("eigenvector with vanishing position component")
-        vecs[:, i] = vecs[:, i] / scale
-    Vinv = np.linalg.inv(vecs)
-    return Eigencoords(tuple(complex(v) for v in vals), vecs, Vinv)
+    """Diagonalize the linear field nu_2 on the second block: its eigenvalues
+    are the roots lambda of the cubic at w2 = W2'', sorted by (real,
+    imaginary) part, with the eigenvectors (1, lambda, 1/(1-lambda)) as the
+    columns of V.  W2 is positive definite, so w2 > 0 and the cubic's
+    discriminant -4 w2^3 - 20 w2^2 + 4 w2 - 3 is negative: one real root
+    and one conjugate pair, all simple, so nu_2 has no Jordan block."""
+    if cfg.n != 1 or cfg.gamma != 1:
+        raise UnsupportedConfig("eigencoordinates are implemented for n = 1 and gamma = 1")
+    x2 = chain_var(cfg.space, "x", 2)
+    w2 = float(cfg.W2.partial(x2).partial(x2).evaluate(dict.fromkeys(cfg.space.names, 0.0)))
+    lambdas = tuple(spectral.cubic_roots(w2))
+    V = np.column_stack([spectral.eigenvector(lam) for lam in lambdas])
+    return Eigencoords(lambdas, V)
 
 
 def omega_coefficients(cfg: ChainConfig, eig: Eigencoords, poly_w2: Poly,
@@ -305,92 +284,66 @@ def _support_times(bump: Bump, x1_of_t: Callable[[np.ndarray], np.ndarray],
             float(ts[min(j + 1, len(ts) - 1)]))
 
 
-def _cumulative_integral(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> np.ndarray:
-    """The integral of f from edges[0] to each edge, by 20-point
-    Gauss-Legendre on every panel; f is evaluated on the array of nodes."""
+def _cumulative_integral(f: Callable[[np.ndarray], np.ndarray],
+                         edges: np.ndarray) -> tuple[np.ndarray, float]:
+    """The integral of f from edges[0] to each edge, and the integral of |f|
+    over all panels, by 20-point Gauss-Legendre on every panel; f is
+    evaluated once, on the array of nodes."""
     nodes, weights = np.polynomial.legendre.leggauss(20)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * np.diff(edges)
-    panels = half * (f(mid[:, None] + half[:, None] * nodes) @ weights)
-    return np.concatenate(([0.0], np.cumsum(panels)))
+    values = f(mid[:, None] + half[:, None] * nodes)
+    panels = half * (values @ weights)
+    return np.concatenate(([0.0], np.cumsum(panels))), float(half @ (np.abs(values) @ weights))
 
 
 def transport_solve(cfg: ChainConfig, pert: Perturbation, alpha: tuple[int, ...],
-                    gamma1: flow.Trajectory, eig: Optional[Eigencoords] = None) -> ObstructionReport:
-    """Solve (d/dt + a) u = g_alpha along gamma1, a = lambda.alpha, with both
-    boundary normalizations and emit the non-smoothness diagnostics.
+                    c_alpha: complex, gamma1: flow.Trajectory,
+                    eig: Eigencoords) -> ObstructionReport:
+    """Solve (d/dt + a) u = g_alpha along gamma1, a = lambda.alpha and
+    g_alpha(t) = c_alpha bump(x1(t)), with both boundary normalizations and
+    emit the non-smoothness diagnostics.
 
     By variation of constants, with I(t) = int_{s_lo}^t e^{as} g_alpha(s) ds
     over the support [s_lo, s_hi] of g_alpha and K = I(s_hi), the branch
     vanishing at the minimum is u_-(t) = e^{-at} I(t) and the branch vanishing
-    at the saddle is u_+(t) = e^{-at} (I(t) - K); outside the support both
-    are exact exponentials."""
-    if eig is None:
-        eig = eigencoords_w2(cfg)
+    at the saddle is u_+(t) = e^{-at} (I(t) - K).  Outside the support both
+    are exact exponentials: past it |u_-| e^{Re(a) t} = |K|, and before it
+    |u_+| = |K| e^{-Re(a) t} grows at the rate Re(a) toward the minimum, so
+    the tail rate is Re(a) and its fit error and the constancy are 0.  K
+    counts as vanished when |K| <= 1e-8 int |e^{as} g_alpha(s)| ds, far above
+    the quadrature's relative error of about 5e-11 and scale-free."""
     space = cfg.space
-    m = pert.m
-    if sum(alpha) != m:
+    if sum(alpha) != pert.m:
         raise ObstructionError("multi-index length must equal the perturbation degree")
     a = sum(l * k for l, k in zip(eig.lambdas, alpha))
     if a.real <= 0:
         raise ObstructionError("Re(lambda . alpha) must be positive")
     mu1 = float(gamma1.meta["mu1"])
 
-    # g_alpha(t) = scale * c_alpha * bump(x1(t))
-    reduced = _reduced_rhs_poly(cfg, pert)
-    coeffs = omega_coefficients(cfg, eig, reduced, m)
-    c_alpha = coeffs.get(alpha, 0.0)
     state_of_t = flow.gamma1_interpolant(gamma1)
     ix1 = space.index(chain_var(space, "x", 1))
     x1_of_t = lambda t: state_of_t(t)[ix1]
     t0, t1 = float(gamma1.times[0]), float(gamma1.times[-1])
     s_lo, t_lo, t_hi, s_hi = _support_times(pert.bump, x1_of_t, t0, t1)
 
-    notes: list[str] = []
-    if abs(c_alpha) < 1e-13:
-        return ObstructionReport(alpha, a, mu1, a / mu1, _int_distance(a / mu1),
-                                 _int_distance(a / mu1) <= 1e-6, (), 0.0, math.inf,
-                                 math.inf, 0.0, "inconclusive",
-                                 ("g_alpha vanishes identically for this multi-index",))
-
     def integrand(s: np.ndarray) -> np.ndarray:
         return np.exp(a * s) * c_alpha * pert.bump(x1_of_t(s.ravel())).reshape(s.shape)
 
-    start = max(t0, t_lo - 2.0)
-    span_end = min(t1, t_hi + 6.0)
-    ts_samp = np.linspace(start, span_end, 120)
+    ts_samp = np.linspace(max(t0, t_lo - 2.0), min(t1, t_hi + 6.0), 120)
     # panel edges include every sample time inside the support, so I is
     # known exactly where it is needed: at edges, or outside the support
     edges = np.union1d(np.linspace(s_lo, s_hi, 41),
                        ts_samp[(ts_samp > s_lo) & (ts_samp < s_hi)])
-    cumulative = _cumulative_integral(integrand, edges)
-    K = cumulative[-1]
-
-    def I_at(ts: np.ndarray) -> np.ndarray:
-        return cumulative[np.searchsorted(edges, np.clip(ts, s_lo, s_hi))]
-
-    # past the support u_- is K e^{-a t}: |u_-| e^{Re a t} constant
-    ts_post = np.linspace(t_hi + 0.5, min(t_hi + 4.0, span_end), 60)
-    mods = np.abs(np.exp(-a * ts_post) * I_at(ts_post)) * np.exp(a.real * ts_post)
-    K_magnitude = float(np.mean(mods))
-    constancy = float(np.max(np.abs(mods - K_magnitude)) / K_magnitude) if K_magnitude > 0 else math.inf
-
-    # growth of u_+ toward the minimum must match e^{Re(a) |t|}
-    fit_lo = max(t0, t_lo - 13.0)
-    fit_hi = t_lo - 1.0
-    ts_pre = np.linspace(fit_lo, fit_hi, 80)
-    mags = np.abs(np.exp(-a * ts_pre) * (I_at(ts_pre) - K))
-    if np.any(mags <= 0):
-        raise ObstructionError("vanishing tail where exponential growth was expected")
-    slope = float(np.polyfit(ts_pre, np.log(mags), 1)[0])
-    tail_rate = -slope  # growth rate of |u| in |t| as t -> -inf
-    tail_err = abs(tail_rate - a.real) / a.real
+    cumulative, abs_integral = _cumulative_integral(integrand, edges)
+    K_magnitude = float(abs(cumulative[-1]))
 
     exponent = a / mu1
     dist = _int_distance(exponent)
     is_integer = dist <= 1e-6
 
-    if K_magnitude <= 1e-13:
+    notes: list[str] = []
+    if K_magnitude <= 1e-8 * abs_integral:
         verdict = "inconclusive"
         notes.append("the variation-of-constants constant vanished; move the bump")
     elif not is_integer:
@@ -407,12 +360,11 @@ def transport_solve(cfg: ChainConfig, pert: Perturbation, alpha: tuple[int, ...]
                  "rates or exponents")
 
     # u_- is exactly 0 before the support (e^{-at} * 0 could print as -0.0)
-    I_samp = I_at(ts_samp)
+    I_samp = cumulative[np.searchsorted(edges, np.clip(ts_samp, s_lo, s_hi))]
     u_samp = np.where(I_samp == 0, 0j, np.exp(-a * ts_samp) * I_samp)
     samples = tuple((float(t), float(u.real), float(u.imag)) for t, u in zip(ts_samp, u_samp))
     return ObstructionReport(tuple(alpha), a, mu1, exponent, dist, is_integer,
-                             samples, tail_rate, float(tail_err), constancy,
-                             K_magnitude, verdict, tuple(notes))
+                             samples, a.real, 0.0, 0.0, K_magnitude, verdict, tuple(notes))
 
 
 def _int_distance(e: complex) -> float:
@@ -431,30 +383,28 @@ def _reduced_rhs_poly(cfg: ChainConfig, pert: Perturbation) -> Poly:
         xn = chain_var(space, "x", 2, i)
         y = Poly.var(space, chain_var(space, "y", 2, i))
         out = out + pert.homog.partial(xn) * y
-    return out * Fraction(scale) * pert.sign
+    return out * Fraction(scale)
 
 
 def select_alpha0(cfg: ChainConfig, pert: Perturbation,
-                  eig: Optional[Eigencoords] = None) -> tuple[int, ...]:
-    """Deterministic choice of the driven multi-index: maximal |c_alpha|
-    (equivalently maximal integral of |g_alpha| along the orbit, since every
-    g_alpha shares the same bump profile), ties broken lexicographically."""
-    if eig is None:
-        eig = eigencoords_w2(cfg)
-    reduced = _reduced_rhs_poly(cfg, pert)
-    coeffs = omega_coefficients(cfg, eig, reduced, pert.m)
+                  eig: Eigencoords) -> tuple[tuple[int, ...], complex]:
+    """The driven multi-index and its coefficient c_alpha in the omega
+    expansion of the reduced right side: maximal |c_alpha| (equivalently
+    maximal integral of |g_alpha| along the orbit, since every g_alpha
+    shares the same bump profile).  The conjugate columns of V make
+    conjugate multi-indices tie; a tie goes to the lexicographically
+    largest alpha."""
+    coeffs = omega_coefficients(cfg, eig, _reduced_rhs_poly(cfg, pert), pert.m)
     if not coeffs:
         raise ObstructionError("the reduced right side vanishes identically")
-    best = min(coeffs.items(), key=lambda kv: (-abs(kv[1]), kv[0]))
-    return best[0]
+    return max(coeffs.items(), key=lambda kv: (abs(kv[1]), kv[0]))
 
 
-def run_obstruction(cfg: ChainConfig, pert: Optional[Perturbation] = None,
+def run_obstruction(cfg: ChainConfig,
                     gamma1: Optional[flow.Trajectory] = None) -> ObstructionReport:
     """The full pipeline on a chain configuration: heteroclinic orbit,
     eigencoordinates, multi-index selection, transport diagnostics."""
-    if pert is None:
-        pert = default_perturbation(cfg)
+    pert = default_perturbation(cfg)
     if cfg.alpha1 == cfg.alpha2:
         return ObstructionReport((0,) * (3 * cfg.n), 0j, 0.0, 0j, math.inf, False,
                                  (), 0.0, math.inf, math.inf, 0.0, "inconclusive",
@@ -464,8 +414,8 @@ def run_obstruction(cfg: ChainConfig, pert: Optional[Perturbation] = None,
     if gamma1 is None:
         gamma1 = flow.heteroclinic_gamma1(cfg)
     eig = eigencoords_w2(cfg)
-    alpha0 = select_alpha0(cfg, pert, eig)
-    return transport_solve(cfg, pert, alpha0, gamma1, eig)
+    alpha0, c_alpha = select_alpha0(cfg, pert, eig)
+    return transport_solve(cfg, pert, alpha0, c_alpha, gamma1, eig)
 
 
 def _check_support(cfg: ChainConfig, bump: Bump):

@@ -99,11 +99,9 @@ def critical_points(W0: Poly, xvars: Sequence[str]) -> list[tuple[float, ...]]:
 
 # ----------------------------------------------------------- linearization
 
-def linearization_N(w_block_hessian: np.ndarray, gamma: float = 1.0) -> np.ndarray:
+def linearization_N(w_block_hessian: np.ndarray) -> np.ndarray:
     """The 3n x 3n Jacobian of the drift at a stationary point, gamma = 1,
     coordinate order (x, y, z)."""
-    if abs(gamma - 1.0) > 0:
-        raise SpectralError("the linearization is implemented for gamma = 1 only")
     H = np.atleast_2d(np.asarray(w_block_hessian, dtype=float))
     n = H.shape[0]
     eye = np.eye(n)
@@ -111,6 +109,12 @@ def linearization_N(w_block_hessian: np.ndarray, gamma: float = 1.0) -> np.ndarr
     return np.block([[zero, eye, zero],
                      [-H - eye, zero, eye],
                      [-eye, zero, eye]])
+
+
+def eigenvector(lam: complex) -> np.ndarray:
+    """The eigenvector (1, lambda, 1/(1-lambda)) of N for n = 1 and a root
+    lambda of the cubic, coordinate order (x, y, z)."""
+    return np.array([1.0, lam, 1.0 / (1.0 - lam)])
 
 
 def cubic_roots(w: float) -> list[complex]:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from susyfact.cli import (EXIT_MATH, EXIT_OK, EXIT_USAGE, canonical_json, main)
+from susyfact.cli import (EXIT_MATH, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, canonical_json, main)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -167,9 +167,13 @@ def test_obstruct_wells_away_from_one(tmp_path):
 
 @pytest.mark.parametrize("changes, alpha, exponent", [
     # mu1 = 1 at the saddle; an adaptive ODE step without max_step crosses this bump
-    ({"W1": "3/8*x1^4 - 3/4*x1^2 + 3/8", "W2": "7/36*x2^2"}, [0, 2, 1], [1.0, 2.0548046676563]),
+    ({"W1": "3/8*x1^4 - 3/4*x1^2 + 3/8", "W2": "7/36*x2^2"}, [2, 0, 1], [1.0, -2.0548046676563]),
     # the perturbation follows the w2-degree m = 4 of deltaW
     ({"deltaW": "1/10*x1*x2^4"}, [2, 1, 1], [1.6096381027438, -1.7315935245260]),
+    # |K| is 8.8e-14 and 1.1e-18, yet 0.85 and 0.96 of the integral of |e^{as} g|:
+    # K is tested relative to that integral, not against an absolute threshold
+    ({"deltaW": "1/10*x1*x2^6"}, [3, 1, 2], [2.6494359144895, -3.4631870490519]),
+    ({"deltaW": "1/10*x1*x2^8"}, [3, 2, 3], [3.6892337262352, -1.7315935245260]),
 ])
 def test_obstruct_verdicts(tmp_path, changes, alpha, exponent):
     path = _unequal_with(tmp_path, **changes)
@@ -217,6 +221,8 @@ def test_obstruct_refuses_bump_outside_the_orbit(tmp_path, capsys, monkeypatch):
     ({"gamma": "2"}, "gamma = 1"),
     ({"n": 2, "W1": "1/4*x1_1^4 - 1/2*x1_1^2 + 1/4*x1_2^4 - 1/2*x1_2^2",
       "W2": "1/2*x2_1^2 + 1/2*x2_2^2", "deltaW": "1/10*x1_1*x2_1^3"}, "n = 1"),
+    # a saddle without a well
+    ({"W1": "-1/2*x1^2"}, "no minimum on either side"),
 ])
 def test_unsupported_regimes_exit_2(tmp_path, capsys, changes, message):
     # outside the supported regime is a usage error, not a mathematical negative
@@ -224,6 +230,14 @@ def test_unsupported_regimes_exit_2(tmp_path, capsys, changes, message):
     for command in ("flow", "obstruct"):
         assert main([command, "--config", path]) == EXIT_USAGE, command
         assert message in capsys.readouterr().err, command
+
+
+def test_numerical_failure_exits_3(capsys):
+    # a tolerance the integrator cannot reach is a failure of the numerics,
+    # not a mathematical negative
+    assert main(["flow", "--config", "chain_unequal",
+                 "--tol-overrides", "endpoint_tol=1e-300"]) == EXIT_NUMERIC
+    assert "did not reach the minimum" in capsys.readouterr().err
 
 
 def test_obstruct_equal_temperature(tmp_path):

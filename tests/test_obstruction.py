@@ -14,6 +14,7 @@ from susyfact import obstruction as ob
 from susyfact.flow import gamma1_interpolant, heteroclinic_gamma1, nu_apply
 from susyfact.models import ChainConfig, chain_phi0, default_chain_config, hamiltonian_p
 from susyfact.polyalg import Poly, parse_poly
+from susyfact.spectral import linearization_N
 
 
 @pytest.fixture(scope="module")
@@ -46,10 +47,10 @@ def test_bump_support_and_smoothness():
 def test_perturbation_validation(cfg):
     sp = cfg.space
     with pytest.raises(ob.ObstructionError):
-        ob.Perturbation(ob.Bump(0.3, 0.7), parse_poly(sp, "x2^2"), 1, 2)
+        ob.Perturbation(ob.Bump(0.3, 0.7), parse_poly(sp, "x2^2"), 2)
     with pytest.raises(ob.ObstructionError):
         # not homogeneous of the declared degree
-        ob.Perturbation(ob.Bump(0.3, 0.7), parse_poly(sp, "x2^3 + x2"), 1, 3)
+        ob.Perturbation(ob.Bump(0.3, 0.7), parse_poly(sp, "x2^3 + x2"), 3)
     p = ob.default_perturbation(cfg)
     assert p.m >= 3
     assert p.homog == parse_poly(sp, "x2^3")
@@ -129,7 +130,7 @@ def test_eigencoords_spectrum(cfg):
     assert abs(lams[0] - lams[1].conjugate()) < 1e-10
     # V diagonalizes the linear field
     assert np.linalg.cond(eig.V) < 1e6
-    assert np.allclose(eig.Vinv @ eig.V, np.eye(3), atol=1e-10)
+    assert np.allclose(np.linalg.inv(eig.V) @ eig.V, np.eye(3), atol=1e-10)
 
 
 def test_omega_coefficients_reconstruct(cfg):
@@ -143,7 +144,7 @@ def test_omega_coefficients_reconstruct(cfg):
     names = list(cfg.space.names)
     for _ in range(5):
         w2 = rng.uniform(-1, 1, size=3)
-        omega = eig.Vinv @ w2.astype(complex)
+        omega = np.linalg.inv(eig.V) @ w2.astype(complex)
         state = np.zeros(6)
         state[3:] = w2
         direct = f(state)
@@ -151,8 +152,48 @@ def test_omega_coefficients_reconstruct(cfg):
         assert abs(recon - direct) < 1e-10 * (1 + abs(direct))
 
 
+@pytest.mark.parametrize("c", ["1/2", "7/36", "3/2", "1/5"])
+def test_eigencoords_closed_form(cfg, c):
+    # W2 = c x2^2: the columns (1, lambda, 1/(1-lambda)) diagonalize N at
+    # w2 = 2c, and the cubic's roots are N's eigenvalues; compared as sets,
+    # because at w2 = 7/18 the real root and the pair share the real part 1/3
+    cfg = ChainConfig.from_json_dict(dict(cfg.to_json_dict(), W2=f"{c}*x2^2"))
+    eig = ob.eigencoords_w2(cfg)
+    N = linearization_N([[2 * float(Fraction(c))]])
+    lams = np.array(eig.lambdas)
+    assert np.max(np.abs(N @ eig.V - eig.V @ np.diag(lams))) < 1e-12
+    numeric = list(np.linalg.eigvals(N))
+    for lam in lams:
+        k = int(np.argmin([abs(lam - z) for z in numeric]))
+        assert abs(lam - numeric.pop(k)) < 1e-12
+
+
+def test_cubic_discriminant_has_no_root_at_positive_w():
+    # why eigencoords_w2 needs no Jordan test: for w > 0 the roots are simple
+    sympy = pytest.importorskip("sympy")
+    w, lam = sympy.symbols("w lam")
+    disc = sympy.discriminant(lam**3 - lam**2 + (1 + w) * lam - w, lam)
+    assert sympy.expand(disc - (-4 * w**3 - 20 * w**2 + 4 * w - 3)) == 0
+    assert disc.subs(w, 0) < 0
+    assert all(r < 0 for r in sympy.real_roots(sympy.Poly(disc, w)))
+
+
 def test_select_alpha0(cfg):
-    assert ob.select_alpha0(cfg, ob.default_perturbation(cfg)) == (2, 0, 1)
+    pert = ob.default_perturbation(cfg)
+    assert ob.select_alpha0(cfg, pert, ob.eigencoords_w2(cfg))[0] == (2, 0, 1)
+
+
+def test_select_alpha0_breaks_the_conjugate_tie(cfg):
+    # conjugate columns of V give conjugate multi-indices the same |c_alpha|
+    # exactly; the tie goes to the lexicographically largest alpha
+    pert = ob.default_perturbation(cfg)
+    eig = ob.eigencoords_w2(cfg)
+    assert eig.lambdas[0] == eig.lambdas[1].conjugate()
+    coeffs = ob.omega_coefficients(cfg, eig, ob._reduced_rhs_poly(cfg, pert), pert.m)
+    (a0, c0), (a1, c1) = sorted(coeffs.items(), key=lambda kv: -abs(kv[1]))[:2]
+    assert abs(c0) == abs(c1) and {a0, a1} == {(2, 0, 1), (0, 2, 1)}
+    alpha, c_alpha = ob.select_alpha0(cfg, pert, eig)
+    assert alpha == (2, 0, 1) and c_alpha == coeffs[(2, 0, 1)]
 
 
 # ----------------------------------------------------------- the transport
@@ -171,6 +212,9 @@ def test_obstruction_report(cfg, report):
     assert report.verdict == "nonsmooth_at_saddle"
     assert report.post_support_constancy < 1e-8
     assert abs(report.exponent - report.lambda_dot_alpha / report.mu1) < 1e-10
+    # the closed form makes the tail rate and the constancy exact
+    assert report.tail_rate_fit == report.lambda_dot_alpha.real
+    assert report.tail_rate_relative_error == report.post_support_constancy == 0.0
 
 
 def test_report_json(report):

@@ -129,13 +129,12 @@ class Trajectory:
 
 
 def integrate(rhs, state0: Sequence[float], t_span: tuple[float, float],
-              n_samples: int = 200, events=None, rtol: float = RTOL,
-              atol: float = ATOL) -> Trajectory:
+              n_samples: int = 200, events=None) -> Trajectory:
     """Adaptive high-order integration with dense sampling.  t_span may run
     backward (t1 < t0); the returned trajectory always has increasing times."""
     t0, t1 = t_span
     sol = solve_ivp(rhs, (t0, t1), np.asarray(state0, dtype=float), method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True, events=events)
+                    rtol=RTOL, atol=ATOL, dense_output=True, events=events)
     if not sol.success and sol.status != 1:
         raise FlowError(f"integration failed: {sol.message}; last state {sol.y[:, -1]}")
     t_end = sol.t[-1]
@@ -318,8 +317,11 @@ def cascade_check(cfg: ChainConfig, point: Sequence[float]) -> CascadeReport:
 
 # ------------------------------------------------------------- quintic probe
 
-def quintic_bound_probe(cfg: ChainConfig, points: Sequence[Sequence[float]],
-                        t_max: float = 0.5, n_samples: int = 60) -> list[dict]:
+PROBE_T_MAX = 0.5
+PROBE_SAMPLES = 60
+
+
+def quintic_bound_probe(cfg: ChainConfig, points: Sequence[Sequence[float]]) -> list[dict]:
     """For each start point, integrate the flow with the Lyapunov increment
     Delta(t) = phi0(exp(t nu) x) - phi0(x) carried as an exact quadrature
     variable, assert positivity, and fit the leading power law: slope near
@@ -334,11 +336,11 @@ def quintic_bound_probe(cfg: ChainConfig, points: Sequence[Sequence[float]],
     out = []
     for point in points:
         state0 = np.append(np.asarray(point, dtype=float), 0.0)
-        sol = solve_ivp(rhs_aug, (0.0, t_max), state0, method="DOP853",
+        sol = solve_ivp(rhs_aug, (0.0, PROBE_T_MAX), state0, method="DOP853",
                         rtol=1e-12, atol=1e-16, dense_output=True)
         if not sol.success:
             raise FlowError(f"probe integration failed at {point}")
-        ts = np.geomspace(1e-4, t_max, n_samples)
+        ts = np.geomspace(1e-4, PROBE_T_MAX, PROBE_SAMPLES)
         deltas = np.array([sol.sol(t)[-1] for t in ts])
         usable = ts[deltas >= 1e-10]
         if len(usable) == 0:
@@ -351,7 +353,7 @@ def quintic_bound_probe(cfg: ChainConfig, points: Sequence[Sequence[float]],
         if len(bad):
             raise FlowError(f"Lyapunov increment non-positive at t={bad[0]} from {point}")
         # fit on the smallest window where the increment is above round-off
-        mask = resolvable & (ts <= min(4.5 * t0, t_max))
+        mask = resolvable & (ts <= min(4.5 * t0, PROBE_T_MAX))
         slope = np.polyfit(np.log(ts[mask]), np.log(deltas[mask]), 1)[0]
         case = cascade_check(cfg, point).case
         C_witness = float(np.max(ts[resolvable] ** 5 / deltas[resolvable]))

@@ -15,8 +15,8 @@ scalar transport equations along the heteroclinic orbit gamma1:
 
     (d/dt + lambda . a) u_a(t) = g_a(x_1(t)),
 
-with g_a compactly supported (a bump in x_1 times a constant from the
-eigenexpansion, scaled by 2/alpha_2 - 2/alpha_1).  Since Re(lambda . a) > 0,
+with g_a compactly supported: a bump in x_1 times the coefficient
+c_a = s (m!/a!) (lambda . a) of omega^a, s = 2/alpha_2 - 2/alpha_1.  Since Re(lambda . a) > 0,
 the branch of u_a vanishing at the minimum decays like x_1^{lambda.a/mu_1}
 at the saddle -- not smooth unless the exponent is a nonnegative integer --
 while the branch vanishing at the saddle grows like e^{Re(lambda.a)|t|} at
@@ -27,7 +27,7 @@ the right-hand side vanishes identically and no obstruction arises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -67,34 +67,11 @@ class Bump:
         return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
 
 
-@dataclass(frozen=True)
-class Perturbation:
-    """deltaW(x1, x2) = bump(x1) * homog(x2) with homog a homogeneous
-    polynomial of degree m >= 3 in the x2 block."""
-
-    bump: Bump
-    homog: Poly
-    m: int
-
-    def __post_init__(self):
-        if self.m < 3:
-            raise ObstructionError("the perturbation degree must be at least 3")
-        comps = self.homog.homogeneous_components("w2")
-        if set(comps) != {self.m}:
-            raise ObstructionError("homog must be homogeneous of the declared degree")
-
-
-def default_perturbation(cfg: ChainConfig) -> Perturbation:
-    """The bundled choice: v(x2) = x2^m with m the w2-degree of the config's
-    deltaW, bump supported inside (0, 1) so that it avoids the saddle
-    (x1 = 0) and the minimum (x1 = 1) of the bundled wells but is positive
-    on the heteroclinic's x1-range; `run_obstruction` refuses it for wells
-    whose saddle-minimum interval does not contain it."""
-    if cfg.n != 1:
-        raise UnsupportedConfig("the bundled perturbation is for n = 1")
-    m = _deltaw_degree(cfg)
-    x2 = Poly.var(cfg.space, chain_var(cfg.space, "x", 2), m)
-    return Perturbation(Bump(0.3, 0.7), x2, m)
+# The bundled bump: supported inside (0, 1), so that it avoids the saddle
+# (x1 = 0) and the minimum (x1 = 1) of the bundled wells but is positive on
+# the heteroclinic's x1-range; `run_obstruction` refuses it for wells whose
+# saddle-minimum interval does not contain it.
+BUMP = Bump(0.3, 0.7)
 
 
 # --------------------------------------------------------- graded hierarchy
@@ -170,68 +147,39 @@ def eq17_reduction(cfg: ChainConfig) -> Poly:
 
 # ------------------------------------------------------------ eigencoords
 
-@dataclass(frozen=True)
-class Eigencoords:
-    lambdas: tuple[complex, ...]
-    V: np.ndarray = field(repr=False)      # columns: eigenvectors, w2 = V omega
-
-
-def eigencoords_w2(cfg: ChainConfig) -> Eigencoords:
-    """Diagonalize the linear field nu_2 on the second block: its eigenvalues
-    are the roots lambda of the cubic at w2 = W2'', sorted by (real,
-    imaginary) part, with the eigenvectors (1, lambda, 1/(1-lambda)) as the
-    columns of V.  W2 is positive definite, so w2 > 0 and the cubic's
-    discriminant -4 w2^3 - 20 w2^2 + 4 w2 - 3 is negative: one real root
-    and one conjugate pair, all simple, so nu_2 has no Jordan block."""
+def eigencoords_w2(cfg: ChainConfig) -> tuple[complex, ...]:
+    """The eigenvalues of the linear field nu_2 on the second block: the
+    roots lambda of the cubic at w2 = W2'', sorted by (real, imaginary)
+    part, with the eigenvectors (1, lambda, 1/(1-lambda)) of
+    `spectral.eigenvector`.  W2 is positive definite, so w2 > 0 and the
+    cubic's discriminant -4 w2^3 - 20 w2^2 + 4 w2 - 3 is negative: one real
+    root and one conjugate pair, all simple, so nu_2 has no Jordan block."""
     if cfg.n != 1 or cfg.gamma != 1:
         raise UnsupportedConfig("eigencoordinates are implemented for n = 1 and gamma = 1")
     x2 = chain_var(cfg.space, "x", 2)
     w2 = float(cfg.W2.partial(x2).partial(x2).evaluate(dict.fromkeys(cfg.space.names, 0.0)))
-    lambdas = tuple(spectral.cubic_roots(w2))
-    V = np.column_stack([spectral.eigenvector(lam) for lam in lambdas])
-    return Eigencoords(lambdas, V)
+    return tuple(spectral.cubic_roots(w2))
 
 
-def omega_coefficients(cfg: ChainConfig, eig: Eigencoords, poly_w2: Poly,
-                       m: int) -> dict[tuple[int, ...], complex]:
-    """Expand a degree-m homogeneous polynomial in (x2, y2, z2) in the
-    eigencoordinate monomials omega^alpha: substitute w2 = V omega and
-    collect coefficients."""
-    space = cfg.space
-    w2_names = space.block_vars("w2")
-    dim = len(w2_names)
-    idx = {nm: i for i, nm in enumerate(w2_names)}
+def omega_coefficients(cfg: ChainConfig, m: int,
+                       lambdas: Sequence[complex]) -> dict[tuple[int, ...], complex]:
+    """The coefficients c_alpha of omega^alpha, |alpha| = m, in the reduced
+    right side s m x2^(m-1) y2 of deltaW = bump(x1) x2^m, where
+    s = 2/alpha_2 - 2/alpha_1 (exact in Q, rounded once).  In the
+    eigencoordinates x2 = sum_j omega_j and y2 = sum_j lambda_j omega_j, so
+    by the multinomial theorem c_alpha = s (m!/alpha!) (lambda . alpha)."""
+    s = float(2 / cfg.alpha2 - 2 / cfg.alpha1)
     out: dict[tuple[int, ...], complex] = {}
-    for (exps, hpow), c in poly_w2.terms.items():
-        if hpow:
-            raise ObstructionError("perturbation data must be h-free")
-        # the monomial must involve w2 variables only
-        factors = []
-        for vi, e in enumerate(exps):
-            if e == 0:
-                continue
-            nm = space.names[vi]
-            if nm not in idx:
-                raise ObstructionError("polynomial involves first-block variables")
-            factors.extend([idx[nm]] * e)
-        if len(factors) != m:
-            raise ObstructionError("polynomial is not homogeneous of the declared degree")
-        # expand prod_r (row_{factors[r]} . omega) by convolution
-        acc: dict[tuple[int, ...], complex] = {(0,) * dim: complex(c)}
-        for r in factors:
-            row = eig.V[r, :]
-            nxt: dict[tuple[int, ...], complex] = {}
-            for a, ca in acc.items():
-                for j in range(dim):
-                    vj = row[j]
-                    if vj == 0:
-                        continue
-                    key = tuple(e + (1 if i == j else 0) for i, e in enumerate(a))
-                    nxt[key] = nxt.get(key, 0.0) + ca * vj
-            acc = nxt
-        for a, ca in acc.items():
-            out[a] = out.get(a, 0.0) + ca
-    return {a: v for a, v in out.items() if abs(v) > 1e-13}
+    for i in range(m + 1):
+        for j in range(m + 1 - i):
+            alpha = (i, j, m - i - j)
+            multinomial = math.factorial(m) // math.prod(map(math.factorial, alpha))
+            out[alpha] = s * multinomial * _dot(lambdas, alpha)
+    return out
+
+
+def _dot(lambdas: Sequence[complex], alpha: tuple[int, ...]) -> complex:
+    return sum(l * k for l, k in zip(lambdas, alpha))
 
 
 # --------------------------------------------------------------- transport
@@ -297,11 +245,11 @@ def _cumulative_integral(f: Callable[[np.ndarray], np.ndarray],
     return np.concatenate(([0.0], np.cumsum(panels))), float(half @ (np.abs(values) @ weights))
 
 
-def transport_solve(cfg: ChainConfig, pert: Perturbation, alpha: tuple[int, ...],
-                    c_alpha: complex, gamma1: flow.Trajectory,
-                    eig: Eigencoords) -> ObstructionReport:
+def transport_solve(cfg: ChainConfig, alpha: tuple[int, ...], c_alpha: complex,
+                    gamma1: flow.Trajectory,
+                    lambdas: Sequence[complex]) -> ObstructionReport:
     """Solve (d/dt + a) u = g_alpha along gamma1, a = lambda.alpha and
-    g_alpha(t) = c_alpha bump(x1(t)), with both boundary normalizations and
+    g_alpha(t) = c_alpha BUMP(x1(t)), with both boundary normalizations and
     emit the non-smoothness diagnostics.
 
     By variation of constants, with I(t) = int_{s_lo}^t e^{as} g_alpha(s) ds
@@ -314,9 +262,7 @@ def transport_solve(cfg: ChainConfig, pert: Perturbation, alpha: tuple[int, ...]
     counts as vanished when |K| <= 1e-8 int |e^{as} g_alpha(s)| ds, far above
     the quadrature's relative error of about 5e-11 and scale-free."""
     space = cfg.space
-    if sum(alpha) != pert.m:
-        raise ObstructionError("multi-index length must equal the perturbation degree")
-    a = sum(l * k for l, k in zip(eig.lambdas, alpha))
+    a = _dot(lambdas, alpha)
     if a.real <= 0:
         raise ObstructionError("Re(lambda . alpha) must be positive")
     mu1 = float(gamma1.meta["mu1"])
@@ -325,10 +271,10 @@ def transport_solve(cfg: ChainConfig, pert: Perturbation, alpha: tuple[int, ...]
     ix1 = space.index(chain_var(space, "x", 1))
     x1_of_t = lambda t: state_of_t(t)[ix1]
     t0, t1 = float(gamma1.times[0]), float(gamma1.times[-1])
-    s_lo, t_lo, t_hi, s_hi = _support_times(pert.bump, x1_of_t, t0, t1)
+    s_lo, t_lo, t_hi, s_hi = _support_times(BUMP, x1_of_t, t0, t1)
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        return np.exp(a * s) * c_alpha * pert.bump(x1_of_t(s.ravel())).reshape(s.shape)
+        return np.exp(a * s) * c_alpha * BUMP(x1_of_t(s.ravel())).reshape(s.shape)
 
     ts_samp = np.linspace(max(t0, t_lo - 2.0), min(t1, t_hi + 6.0), 120)
     # panel edges include every sample time inside the support, so I is
@@ -372,62 +318,49 @@ def _int_distance(e: complex) -> float:
     return abs(e - k) if k >= 0 else abs(e)
 
 
-def _reduced_rhs_poly(cfg: ChainConfig, pert: Perturbation) -> Poly:
-    """(2/alpha_2 - 2/alpha_1) y2 . d_{x2} homog -- the w2-polynomial factor
-    of the reduced transport right side (the x1-bump factor rides along as a
-    scalar profile in t)."""
-    space = cfg.space
-    scale = 2 / cfg.alpha2 - 2 / cfg.alpha1
-    out = Poly.zero(space)
-    for i in range(cfg.n):
-        xn = chain_var(space, "x", 2, i)
-        y = Poly.var(space, chain_var(space, "y", 2, i))
-        out = out + pert.homog.partial(xn) * y
-    return out * Fraction(scale)
-
-
-def select_alpha0(cfg: ChainConfig, pert: Perturbation,
-                  eig: Eigencoords) -> tuple[tuple[int, ...], complex]:
+def select_alpha0(cfg: ChainConfig, m: int,
+                  lambdas: Sequence[complex]) -> tuple[tuple[int, ...], complex]:
     """The driven multi-index and its coefficient c_alpha in the omega
     expansion of the reduced right side: maximal |c_alpha| (equivalently
     maximal integral of |g_alpha| along the orbit, since every g_alpha
-    shares the same bump profile).  The conjugate columns of V make
-    conjugate multi-indices tie; a tie goes to the lexicographically
-    largest alpha."""
-    coeffs = omega_coefficients(cfg, eig, _reduced_rhs_poly(cfg, pert), pert.m)
-    if not coeffs:
-        raise ObstructionError("the reduced right side vanishes identically")
+    shares the same bump profile).  Conjugate eigenvalues make conjugate
+    multi-indices tie; a tie goes to the lexicographically largest alpha."""
+    coeffs = omega_coefficients(cfg, m, lambdas)
     return max(coeffs.items(), key=lambda kv: (abs(kv[1]), kv[0]))
 
 
 def run_obstruction(cfg: ChainConfig,
                     gamma1: Optional[flow.Trajectory] = None) -> ObstructionReport:
     """The full pipeline on a chain configuration: heteroclinic orbit,
-    eigencoordinates, multi-index selection, transport diagnostics."""
-    pert = default_perturbation(cfg)
+    eigencoordinates, multi-index selection, transport diagnostics.  At
+    unequal temperatures s = 2/alpha_2 - 2/alpha_1 is nonzero and every
+    Re(lambda . alpha) is positive (w2 > 0), so every c_alpha is nonzero."""
+    if cfg.n != 1:
+        raise UnsupportedConfig("the bundled perturbation is for n = 1")
+    m = _deltaw_degree(cfg)
     if cfg.alpha1 == cfg.alpha2:
         return ObstructionReport((0,) * (3 * cfg.n), 0j, 0.0, 0j, math.inf, False,
                                  (), 0.0, math.inf, math.inf, 0.0, "inconclusive",
                                  ("equal bath temperatures: the reduced right side is "
                                   "identically zero and no obstruction arises",))
-    _check_support(cfg, pert.bump)
+    _check_support(cfg)
     if gamma1 is None:
         gamma1 = flow.heteroclinic_gamma1(cfg)
-    eig = eigencoords_w2(cfg)
-    alpha0, c_alpha = select_alpha0(cfg, pert, eig)
-    return transport_solve(cfg, pert, alpha0, c_alpha, gamma1, eig)
+    lambdas = eigencoords_w2(cfg)
+    alpha0, c_alpha = select_alpha0(cfg, m, lambdas)
+    return transport_solve(cfg, alpha0, c_alpha, gamma1, lambdas)
 
 
-def _check_support(cfg: ChainConfig, bump: Bump):
-    """The bump must lie strictly inside the x1-interval between the saddle
-    and the minimum the heteroclinic connects it to; otherwise it vanishes
-    on the orbit or touches an endpoint.  Decided from the stationary
-    points, before any integration."""
+def _check_support(cfg: ChainConfig):
+    """BUMP must lie strictly inside the x1-interval between the saddle and
+    the minimum the heteroclinic connects it to; otherwise it vanishes on
+    the orbit or touches an endpoint.  Decided from the stationary points,
+    before any integration."""
     saddle, minimum = flow.heteroclinic_x1_range(cfg)
     lo, hi = sorted((saddle, minimum))
-    if not lo < bump.lo < bump.hi < hi:
+    if not lo < BUMP.lo < BUMP.hi < hi:
         raise UnsupportedConfig(
-            f"the bump support [{bump.lo:g}, {bump.hi:g}] in x1 does not lie inside "
+            f"the bump support [{BUMP.lo:g}, {BUMP.hi:g}] in x1 does not lie inside "
             f"({saddle:.6g}, {minimum:.6g}), between the saddle and the minimum the "
             "heteroclinic connects it to")
 

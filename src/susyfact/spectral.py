@@ -36,7 +36,10 @@ class SpectralError(ValueError):
 
 # ------------------------------------------------------------ root finding
 
-def real_roots_univariate(W: Poly, var: str, tol: float = 1e-12) -> list[float]:
+ROOT_TOL = 1e-12  # residual |dW/dvar| accepted, relative to max(1, |x|)
+
+
+def real_roots_univariate(W: Poly, var: str) -> list[float]:
     """Real roots of dW/dvar = 0 for a polynomial depending on `var` only,
     via the companion matrix with one Newton polish per root."""
     dW = W.partial(var)
@@ -66,7 +69,7 @@ def real_roots_univariate(W: Poly, var: str, tol: float = 1e-12) -> list[float]:
             if d == 0:
                 break
             x -= fd(x) / d
-        if abs(fd(x)) < tol * max(1.0, abs(x)):
+        if abs(fd(x)) < ROOT_TOL * max(1.0, abs(x)):
             out.append(x)
     out.sort()
     # merge numerically duplicate roots
@@ -141,18 +144,19 @@ def cubic_roots(w: float) -> list[complex]:
     return polished
 
 
-def classify_roots(w: float, tol: float = 1e-10) -> str:
-    """all_re_positive | one_zero | one_negative, from the root real parts."""
-    roots = cubic_roots(w)
-    res = [z.real for z in roots]
-    if any(abs(r) <= tol for r in res):
+ZERO_BAND = 1e-10
+
+
+def classify_roots(w: float) -> str:
+    """all_re_positive | one_zero | one_negative, from the sign of w.  The
+    roots sum to 1 and multiply to w.  For w > 0 every real part is
+    positive by Routh-Hurwitz (with lambda = -mu the condition is
+    1 * (1 + w) > w); for w < 0 exactly one root is negative and the other
+    two have positive real parts.  The root nearest 0 is w + O(w^3), so
+    |w| <= ZERO_BAND counts as one_zero."""
+    if abs(w) <= ZERO_BAND:
         return "one_zero"
-    neg = sum(1 for r in res if r < -tol)
-    if neg == 0:
-        return "all_re_positive"
-    if neg == 1:
-        return "one_negative"
-    raise SpectralError(f"unexpected root pattern for w={w}: {roots}")
+    return "all_re_positive" if w > 0 else "one_negative"
 
 
 def F(lam: complex) -> complex:

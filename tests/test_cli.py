@@ -174,6 +174,9 @@ def test_obstruct_wells_away_from_one(tmp_path):
     # K is tested relative to that integral, not against an absolute threshold
     ({"deltaW": "1/10*x1*x2^6"}, [3, 1, 2], [2.6494359144895, -3.4631870490519]),
     ({"deltaW": "1/10*x1*x2^8"}, [3, 2, 3], [3.6892337262352, -1.7315935245260]),
+    # 2/alpha2 - 2/alpha1 is -2e-15: every c_alpha is that small, and nonzero
+    ({"alpha2": "1000000000000001/1000000000000000"}, [2, 0, 1],
+     [1.3247179572447463, -3.463187049051929]),
 ])
 def test_obstruct_verdicts(tmp_path, changes, alpha, exponent):
     path = _unequal_with(tmp_path, **changes)
@@ -260,8 +263,9 @@ def test_spectral_determinism(tmp_path):
 
 
 # The particular structure construct returns is behaviour: these reports of
-# the exact-only commands are pinned byte for byte.  They hold rationals only,
-# so they do not depend on the platform.
+# the exact-only commands, and of obstruct at equal temperatures (which
+# returns before any numerics), are pinned byte for byte.  They hold
+# rationals and exact floats only, so they do not depend on the platform.
 GOLDEN_CASES = [
     ("check_witten_harmonic.json", EXIT_OK,
      ["check", "--model", "witten_harmonic", "--phi", "x1^2"]),
@@ -274,6 +278,7 @@ GOLDEN_CASES = [
      ["check", "--config", "chain_unequal", "--phi",
       "1/2 + 1/2*z2^2 + 1/2*y2^2 - x2*z2 + x2^2 + z1^2 + y1^2 - 2*x1*z1 + 1/2*x1^4"]),
     ("verify_models.json", EXIT_OK, ["verify-models"]),
+    ("obstruct_chain_equal.json", EXIT_OK, ["obstruct", "--config", "chain_equal"]),
 ]
 
 
@@ -282,3 +287,28 @@ def test_exact_reports_match_golden(capsys):
         rc = main(argv + ["--seed", "7"])
         assert rc == want_rc, name
         assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes(), name
+
+
+def test_obstruct_unequal_matches_golden(capsys):
+    # the numerical report: the decisions and the sample times exactly, the
+    # other floats to 1e-12 relative, and each u(t) to 1e-12 of |u(t)| (a
+    # real or imaginary part near its own zero crossing can move by more
+    # than that relative to itself)
+    assert main(["obstruct", "--config", "chain_unequal", "--seed", "7"]) == EXIT_OK
+    got = json.loads(capsys.readouterr().out)
+    want = json.loads((GOLDEN / "obstruct_chain_unequal.json").read_text())
+    got_ob, want_ob = got.pop("obstruction"), want.pop("obstruction")
+    assert got == want
+    assert set(got_ob) == set(want_ob)
+    for key in ("alpha", "verdict", "notes", "mu1", "exponent_is_integer"):
+        assert got_ob[key] == want_ob[key], key
+    for key in ("lambda_dot_alpha", "exponent"):
+        z, w = complex(*got_ob[key]), complex(*want_ob[key])
+        assert abs(z - w) <= 1e-12 * abs(w), key
+    for key in ("nearest_integer_distance", "tail_rate_fit", "tail_rate_relative_error",
+                "post_support_constancy", "K_magnitude"):
+        assert abs(got_ob[key] - want_ob[key]) <= 1e-12 * abs(want_ob[key]), key
+    assert len(got_ob["u_samples"]) == len(want_ob["u_samples"])
+    for (t, re, im), (t0, re0, im0) in zip(got_ob["u_samples"], want_ob["u_samples"]):
+        assert t == t0
+        assert abs(complex(re, im) - complex(re0, im0)) <= 1e-12 * abs(complex(re0, im0)), t

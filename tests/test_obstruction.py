@@ -14,7 +14,7 @@ from susyfact import obstruction as ob
 from susyfact.flow import gamma1_interpolant, heteroclinic_gamma1, nu_apply
 from susyfact.models import ChainConfig, chain_phi0, default_chain_config, hamiltonian_p
 from susyfact.polyalg import Poly, parse_poly
-from susyfact.spectral import linearization_N
+from susyfact.spectral import eigenvector, linearization_N
 
 
 @pytest.fixture(scope="module")
@@ -42,18 +42,6 @@ def test_bump_support_and_smoothness():
     vals = np.array([b(x) for x in xs])
     assert np.all(vals >= 0.0) and vals.max() > 0.0
     assert np.array_equal(b(xs), vals)
-
-
-def test_perturbation_validation(cfg):
-    sp = cfg.space
-    with pytest.raises(ob.ObstructionError):
-        ob.Perturbation(ob.Bump(0.3, 0.7), parse_poly(sp, "x2^2"), 2)
-    with pytest.raises(ob.ObstructionError):
-        # not homogeneous of the declared degree
-        ob.Perturbation(ob.Bump(0.3, 0.7), parse_poly(sp, "x2^3 + x2"), 3)
-    p = ob.default_perturbation(cfg)
-    assert p.m >= 3
-    assert p.homog == parse_poly(sp, "x2^3")
 
 
 # -------------------------------------------------------- the psi equation
@@ -119,9 +107,14 @@ def test_vanishing_hierarchy():
 
 # ------------------------------------------------------------- eigencoords
 
+def _columns(lambdas):
+    """The matrix V with w2 = V omega: the eigenvectors as its columns."""
+    return np.column_stack([eigenvector(lam) for lam in lambdas])
+
+
 def test_eigencoords_spectrum(cfg):
-    eig = ob.eigencoords_w2(cfg)
-    lams = eig.lambdas
+    lams = ob.eigencoords_w2(cfg)
+    V = _columns(lams)
     assert len(lams) == 3
     assert abs(sum(lams) - 1.0) < 1e-10
     assert all(z.real > 0 for z in lams)
@@ -129,27 +122,46 @@ def test_eigencoords_spectrum(cfg):
     assert lams == tuple(sorted(lams, key=lambda z: (z.real, z.imag)))
     assert abs(lams[0] - lams[1].conjugate()) < 1e-10
     # V diagonalizes the linear field
-    assert np.linalg.cond(eig.V) < 1e6
-    assert np.allclose(np.linalg.inv(eig.V) @ eig.V, np.eye(3), atol=1e-10)
+    assert np.linalg.cond(V) < 1e6
+    assert np.allclose(np.linalg.inv(V) @ V, np.eye(3), atol=1e-10)
 
 
 def test_omega_coefficients_reconstruct(cfg):
-    eig = ob.eigencoords_w2(cfg)
-    pert = ob.default_perturbation(cfg)
-    poly_w2 = ob._reduced_rhs_poly(cfg, pert)
-    coeffs = ob.omega_coefficients(cfg, eig, poly_w2, pert.m)
-    assert coeffs
-    f = poly_w2.compiled()
+    # the independent oracle: the reduced right side s m x2^(m-1) y2 as a
+    # Poly, evaluated at w2 = V omega for complex omega, against the sum of
+    # c_alpha omega^alpha
     rng = np.random.default_rng(3)
-    names = list(cfg.space.names)
-    for _ in range(5):
-        w2 = rng.uniform(-1, 1, size=3)
-        omega = np.linalg.inv(eig.V) @ w2.astype(complex)
-        state = np.zeros(6)
-        state[3:] = w2
-        direct = f(state)
-        recon = sum(c * np.prod(omega ** np.array(a)) for a, c in coeffs.items())
-        assert abs(recon - direct) < 1e-10 * (1 + abs(direct))
+    for m in (3, 4, 6, 8):
+        c = ChainConfig.from_json_dict(dict(cfg.to_json_dict(), deltaW=f"1/10*x1*x2^{m}"))
+        lams = ob.eigencoords_w2(c)
+        coeffs = ob.omega_coefficients(c, m, lams)
+        assert set(coeffs) == {a for a in np.ndindex(m + 1, m + 1, m + 1) if sum(a) == m}
+        s = 2 / c.alpha2 - 2 / c.alpha1
+        rhs = (Poly.var(c.space, "x2", m - 1) * Poly.var(c.space, "y2") * (m * s)).compiled()
+        V = _columns(lams)
+        for _ in range(5):
+            omega = rng.uniform(-1, 1, size=3) + 1j * rng.uniform(-1, 1, size=3)
+            direct = rhs([0.0] * 3 + list(V @ omega))
+            recon = sum(c_a * np.prod(omega ** np.array(a)) for a, c_a in coeffs.items())
+            assert abs(recon - direct) < 1e-10 * abs(direct), m
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_omega_coefficients_multinomial_identity(cfg, m):
+    # with symbolic eigenvalues, m x2^(m-1) y2 at x2 = sum omega_j,
+    # y2 = sum lambda_j omega_j has the coefficients (m!/alpha!) (lambda.alpha)
+    sympy = pytest.importorskip("sympy")
+    lams = sympy.symbols("l0:3")
+    omega = sympy.symbols("w0:3")
+    x2 = sum(omega)
+    y2 = sum(l * w for l, w in zip(lams, omega))
+    expansion = sympy.Poly(sympy.expand(m * x2 ** (m - 1) * y2), *omega)
+    want = dict(expansion.terms())
+    s = float(2 / cfg.alpha2 - 2 / cfg.alpha1)
+    got = ob.omega_coefficients(cfg, m, lams)
+    assert set(got) == set(want)
+    for alpha, c in got.items():
+        assert sympy.expand(c - s * want[alpha]) == 0
 
 
 @pytest.mark.parametrize("c", ["1/2", "7/36", "3/2", "1/5"])
@@ -158,10 +170,10 @@ def test_eigencoords_closed_form(cfg, c):
     # w2 = 2c, and the cubic's roots are N's eigenvalues; compared as sets,
     # because at w2 = 7/18 the real root and the pair share the real part 1/3
     cfg = ChainConfig.from_json_dict(dict(cfg.to_json_dict(), W2=f"{c}*x2^2"))
-    eig = ob.eigencoords_w2(cfg)
+    lams = np.array(ob.eigencoords_w2(cfg))
+    V = _columns(lams)
     N = linearization_N([[2 * float(Fraction(c))]])
-    lams = np.array(eig.lambdas)
-    assert np.max(np.abs(N @ eig.V - eig.V @ np.diag(lams))) < 1e-12
+    assert np.max(np.abs(N @ V - V @ np.diag(lams))) < 1e-12
     numeric = list(np.linalg.eigvals(N))
     for lam in lams:
         k = int(np.argmin([abs(lam - z) for z in numeric]))
@@ -179,20 +191,18 @@ def test_cubic_discriminant_has_no_root_at_positive_w():
 
 
 def test_select_alpha0(cfg):
-    pert = ob.default_perturbation(cfg)
-    assert ob.select_alpha0(cfg, pert, ob.eigencoords_w2(cfg))[0] == (2, 0, 1)
+    assert ob.select_alpha0(cfg, 3, ob.eigencoords_w2(cfg))[0] == (2, 0, 1)
 
 
 def test_select_alpha0_breaks_the_conjugate_tie(cfg):
-    # conjugate columns of V give conjugate multi-indices the same |c_alpha|
+    # conjugate eigenvalues give conjugate multi-indices the same |c_alpha|
     # exactly; the tie goes to the lexicographically largest alpha
-    pert = ob.default_perturbation(cfg)
-    eig = ob.eigencoords_w2(cfg)
-    assert eig.lambdas[0] == eig.lambdas[1].conjugate()
-    coeffs = ob.omega_coefficients(cfg, eig, ob._reduced_rhs_poly(cfg, pert), pert.m)
+    lams = ob.eigencoords_w2(cfg)
+    assert lams[0] == lams[1].conjugate()
+    coeffs = ob.omega_coefficients(cfg, 3, lams)
     (a0, c0), (a1, c1) = sorted(coeffs.items(), key=lambda kv: -abs(kv[1]))[:2]
     assert abs(c0) == abs(c1) and {a0, a1} == {(2, 0, 1), (0, 2, 1)}
-    alpha, c_alpha = ob.select_alpha0(cfg, pert, eig)
+    alpha, c_alpha = ob.select_alpha0(cfg, 3, lams)
     assert alpha == (2, 0, 1) and c_alpha == coeffs[(2, 0, 1)]
 
 
@@ -242,19 +252,18 @@ def _dop853_transport(cfg, gamma1, rep):
     """The independent oracle: the transport as an ODE, integrated by DOP853
     from zero data at the first sample time, with max_step a tenth of the
     bump's support width in t.  Returns |K| and u_- at the sample times."""
-    pert = ob.default_perturbation(cfg)
-    eig = ob.eigencoords_w2(cfg)
-    coeffs = ob.omega_coefficients(cfg, eig, ob._reduced_rhs_poly(cfg, pert), pert.m)
-    c_alpha, a = coeffs[rep.alpha0], rep.lambda_dot_alpha
+    alpha, c_alpha = ob.select_alpha0(cfg, ob._deltaw_degree(cfg), ob.eigencoords_w2(cfg))
+    assert alpha == rep.alpha0
+    a, bump = rep.lambda_dot_alpha, ob.BUMP
     state = gamma1_interpolant(gamma1)
     ix1 = cfg.space.index("x1")
     grid = np.linspace(gamma1.times[0], gamma1.times[-1], 4000)
     x1 = state(grid)[ix1]
-    inside = grid[(x1 > pert.bump.lo) & (x1 < pert.bump.hi)]
+    inside = grid[(x1 > bump.lo) & (x1 < bump.hi)]
     width = inside[-1] - inside[0]
 
     def rhs(t, u):
-        du = -a * complex(u[0], u[1]) + c_alpha * pert.bump(state(t)[ix1])
+        du = -a * complex(u[0], u[1]) + c_alpha * bump(state(t)[ix1])
         return [du.real, du.imag]
 
     times = np.array([t for t, _, _ in rep.u_samples])

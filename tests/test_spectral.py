@@ -37,6 +37,19 @@ def test_root_classification_matches_sign_of_w():
     assert classify_roots(0.0) == "one_zero"
     for w in (-0.1, -1.0, -10.0):
         assert classify_roots(w) == "one_negative"
+    # the band |w| <= 1e-10 is one_zero; just past it the sign decides
+    for w in (1e-11, -1e-11, 1e-10, -1e-10):
+        assert classify_roots(w) == "one_zero"
+    for w in (math.nextafter(1e-10, 1), 1e-9):
+        assert classify_roots(w) == "all_re_positive"
+    for w in (math.nextafter(-1e-10, -1), -1e-9):
+        assert classify_roots(w) == "one_negative"
+    # and the class agrees with the real parts of the computed roots
+    for w in (math.nextafter(1e-10, 1), 1e-9, 0.1, 10.0):
+        assert all(z.real > 0 for z in cubic_roots(w))
+    for w in (math.nextafter(-1e-10, -1), -1e-9, -0.1, -10.0):
+        assert sum(z.real < 0 for z in cubic_roots(w)) == 1
+        assert min(abs(z.real) for z in cubic_roots(w)) > 0
 
 
 def test_mu1_at_double_well_saddle():

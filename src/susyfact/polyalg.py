@@ -96,14 +96,16 @@ class Poly:
     __slots__ = ("space", "terms")
 
     def __init__(self, space: VarSpace, terms: Mapping[tuple[tuple[int, ...], int], RationalLike]):
+        n = space.n
         cleaned: dict[tuple[tuple[int, ...], int], Fraction] = {}
         for (exps, hpow), c in terms.items():
-            if len(exps) != space.n:
+            if len(exps) != n:
                 raise PolyError("exponent tuple length does not match the variable space")
-            if hpow < 0 or any(e < 0 for e in exps):
+            if hpow < 0 or (n and min(exps) < 0):
                 raise PolyError("negative exponents are not representable")
-            c = Fraction(c)
-            if c != 0:
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if c:
                 cleaned[(tuple(exps), hpow)] = c
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "terms", cleaned)
@@ -178,7 +180,7 @@ class Poly:
         self._require_same_space(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
+            out[k] = out[k] + c if k in out else c
         return Poly(self.space, out)
 
     __radd__ = __add__
@@ -203,7 +205,8 @@ class Poly:
         for (ea, ha), ca in self.terms.items():
             for (eb, hb), cb in other.terms.items():
                 k = (tuple(x + y for x, y in zip(ea, eb)), ha + hb)
-                out[k] = out.get(k, Fraction(0)) + ca * cb
+                c = ca * cb
+                out[k] = out[k] + c if k in out else c
         return Poly(self.space, out)
 
     __rmul__ = __mul__
@@ -225,7 +228,8 @@ class Poly:
             if e == 0:
                 continue
             k = (tuple(x - 1 if j == i else x for j, x in enumerate(exps)), hpow)
-            out[k] = out.get(k, Fraction(0)) + c * e
+            d = c * e
+            out[k] = out[k] + d if k in out else d
         return Poly(self.space, out)
 
     def h_shift(self, k: int = 1) -> "Poly":

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .extcalc import ExtCalcError, Section, antisym_matrix_from_2vector, homotopy_inverse_delta
@@ -156,26 +157,39 @@ def _solve_linear_fraction(rows: list[dict[int, Fraction]], rhs: list[Fraction],
     """Exact Gaussian elimination for a sparse rational system; returns one
     solution (free unknowns set to 0) or None if inconsistent.
 
-    Each pivot row is normalised at its leftmost column and holds no column
+    Elimination is fraction-free: each row and its right side are scaled
+    to integers by the lcm of their denominators, a row R is reduced against
+    a pivot row P (pivot p, R's entry f) as (p/g) R - (f/g) P with
+    g = gcd(p, f), and a new pivot row is divided by its content.  Each
+    integer row is a nonzero multiple of the row rational elimination would
+    hold, so supports, pivots and the solution are the same; only
+    back-substitution returns to Fractions.
+
+    Each pivot row takes its pivot at its leftmost column and holds no column
     of an earlier pivot, so a row is reduced by visiting the pivots whose
     columns it touches in creation order: a min-heap of pivot indices, fed
     with the pivot columns each elimination step brings into the row.
     """
-    rows = list(rows)
-    rhs = list(rhs)
     pivot_of_col: dict[int, int] = {}  # column -> index into `order`
-    order: list[tuple[int, int]] = []  # (row, col) pivots in creation order
-    for r in range(len(rows)):
-        row = {c: v for c, v in rows[r].items() if v}
-        b = rhs[r]
+    order: list[tuple[dict[int, int], int, int]] = []  # (row, rhs, col) in creation order
+    for given, b in zip(rows, rhs):
+        m = lcm(b.denominator, *(v.denominator for v in given.values()))
+        row = {c: v.numerator * (m // v.denominator) for c, v in given.items() if v}
+        b = b.numerator * (m // b.denominator)
         heap = [pivot_of_col[c] for c in row if c in pivot_of_col]
         heapify(heap)
         while heap:
-            pr, pc = order[heappop(heap)]
+            prow, pb, pc = order[heappop(heap)]
             f = row.get(pc)
             if not f:
                 continue
-            for c, val in rows[pr].items():
+            p = prow[pc]
+            g = gcd(p, f)
+            p, f = p // g, f // g
+            if p != 1:
+                row = {c: p * v for c, v in row.items()}
+                b *= p
+            for c, val in prow.items():
                 old = row.get(c)
                 if old is None:
                     row[c] = -f * val
@@ -187,24 +201,25 @@ def _solve_linear_fraction(rows: list[dict[int, Fraction]], rhs: list[Fraction],
                         row[c] = nv
                     else:
                         del row[c]
-            b -= f * rhs[pr]
+            b -= f * pb
         if not row:
             if b != 0:
                 return None
             continue
         pc = min(row)
-        inv = 1 / row[pc]
-        rows[r] = {c: v * inv for c, v in row.items()}
-        rhs[r] = b * inv
+        content = gcd(b, *row.values())
+        if content != 1:
+            row = {c: v // content for c, v in row.items()}
+            b //= content
         pivot_of_col[pc] = len(order)
-        order.append((r, pc))
+        order.append((row, b, pc))
     sol = [Fraction(0)] * ncols
-    for r, pc in reversed(order):
-        val = rhs[r]
-        for c, coef in rows[r].items():
+    for row, b, pc in reversed(order):
+        val = Fraction(b)
+        for c, coef in row.items():
             if c != pc:
                 val -= coef * sol[c]
-        sol[pc] = val
+        sol[pc] = val / row[pc]
     return sol
 
 

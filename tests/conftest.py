@@ -5,11 +5,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from susyfact.polyalg import Poly, VarSpace
 
 NAMES = ("x1", "x2", "x3", "x4")
+
+# a failing example prints its @reproduce_failure line
+settings.register_profile("susyfact", print_blob=True)
+settings.load_profile("susyfact")
 
 
 @pytest.fixture(scope="session")
@@ -43,3 +48,12 @@ def poly_pairs(max_n: int = 4, **kw):
 def poly_triples(max_n: int = 4, **kw):
     return spaces(max_n).flatmap(
         lambda sp: st.tuples(polys(sp, **kw), polys(sp, **kw), polys(sp, **kw)))
+
+
+def as_sympy(p: Poly, sympy):
+    """p as a sympy expression in symbols named after its variables and h."""
+    xs = sympy.symbols(p.space.names)
+    h = sympy.Symbol("h")
+    return sympy.Add(*[sympy.Rational(c.numerator, c.denominator) * h ** hp
+                       * sympy.Mul(*[x ** e for x, e in zip(xs, exps)])
+                       for (exps, hp), c in p.terms.items()])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from susyfact.polyalg import Poly, PolyError, VarSpace, parse_poly, parse_rational
 
-from conftest import poly_pairs, poly_triples, polys, spaces
+from conftest import as_sympy, poly_pairs, poly_triples, polys, spaces
 
 SP = VarSpace.make(["x1", "x2"])
 X1 = Poly.var(SP, "x1")
@@ -61,6 +61,33 @@ def test_no_zero_terms_stored():
 def test_h_power_nonnegative():
     with pytest.raises(PolyError):
         Poly(SP, {((0, 0), -1): Fraction(1)})
+
+
+def _assert_stored(p: Poly):
+    """Stored terms: nonzero Fractions keyed by (exponent tuple of length n, h power),
+    every entry nonnegative."""
+    for key, c in p.terms.items():
+        assert type(c) is Fraction and c != 0
+        exps, hpow = key
+        assert type(exps) is tuple and len(exps) == p.space.n
+        assert all(e >= 0 for e in exps) and hpow >= 0
+
+
+def test_constructor_checks_and_normalises():
+    with pytest.raises(PolyError):
+        Poly(SP, {((1,), 0): Fraction(1)})
+    with pytest.raises(PolyError):
+        Poly(SP, {((1, -1), 0): Fraction(1)})
+    with pytest.raises(PolyError):
+        Poly(SP, {((1, 0), -1): 1})
+
+    class Pairs:  # a mapping whose exponents are lists, which a dict key cannot be
+        def items(self):
+            return [(([2, 1], 1), 3), (([0, 1], 0), Fraction(0)), (((1, 1), 0), Fraction(1, 2))]
+
+    p = Poly(SP, Pairs())
+    assert p.terms == {((2, 1), 1): Fraction(3), ((1, 1), 0): Fraction(1, 2)}
+    _assert_stored(p)
 
 
 def test_var_space_duplicate_names_rejected():
@@ -150,6 +177,25 @@ def test_literal_round_trip():
 
 
 # ----------------------------------------------------------- ring axioms
+
+@given(poly_pairs(), st.integers(-2, 2))
+@settings(max_examples=60, deadline=None)
+def test_arithmetic_against_sympy(fg, k):
+    sympy = pytest.importorskip("sympy")
+    f, g = fg
+    sf, sg = as_sympy(f, sympy), as_sympy(g, sympy)
+    h = sympy.Symbol("h")
+    cases = [(f + g, sf + sg), (f - g, sf - sg), (f * g, sf * sg)]
+    cases += [(f.partial(nm), sympy.diff(sf, sympy.Symbol(nm))) for nm in f.space.names]
+    if k >= 0 or f.is_zero or min(hp for _, hp in f.terms) + k >= 0:
+        cases.append((f.h_shift(k), sf * h ** k))
+    else:
+        with pytest.raises(PolyError):
+            f.h_shift(k)
+    for got, want in cases:
+        _assert_stored(got)
+        assert sympy.expand(as_sympy(got, sympy) - want) == 0
+
 
 @given(poly_triples())
 @settings(max_examples=60, deadline=None)

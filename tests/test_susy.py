@@ -19,7 +19,7 @@ from susyfact.susy import (SusyStructure, assemble_factorization, check_necessar
                            construct, verify_reference_structures,
                            verify_structure)
 
-from conftest import NAMES, polys, rationals
+from conftest import NAMES, as_sympy, polys, rationals
 
 
 def matrices(space: VarSpace, **kw):
@@ -60,6 +60,44 @@ def test_unweighted_laplacian_factorization():
     sp = VarSpace.make(["x1", "x2"])
     P = assemble_factorization(identity_matrix(sp), Poly.zero(sp), Poly.zero(sp))
     assert P == laplacian(sp)
+
+
+@st.composite
+def _factorization_data(draw):
+    sp = VarSpace.make(NAMES[:draw(st.integers(1, 3))])
+    A = draw(matrices(sp, max_deg=2, max_hpow=1, max_terms=2))
+    phi = draw(polys(sp, max_deg=2, max_hpow=1, max_terms=3))
+    psi = draw(polys(sp, max_deg=2, max_hpow=1, max_terms=3))
+    return A, phi, psi
+
+
+@given(_factorization_data(), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_assemble_factorization_against_literal_product(data, semiclassical):
+    # applied to a generic u, the normal form -sum D_j B_jk D_k + sum v_j D_j + v0
+    # equals sum_{j,k} (-D_j + d_j psi) A_kj (D_k + d_k phi)
+    sympy = pytest.importorskip("sympy")
+    A, phi, psi = data
+    sp = phi.space
+    n = sp.n
+    xs = sympy.symbols(sp.names)
+    u = sympy.Function("u")(*xs)
+    hbar = sympy.Symbol("h") if semiclassical else 1
+
+    def D(e, j):
+        return hbar * sympy.diff(e, xs[j])
+
+    def S(p):
+        return as_sympy(p, sympy)
+
+    dphi = [sympy.diff(S(phi), x) for x in xs]
+    dpsi = [sympy.diff(S(psi), x) for x in xs]
+    inner = [sum(S(A[k][j]) * (D(u, k) + dphi[k] * u) for k in range(n)) for j in range(n)]
+    literal = sum(-D(inner[j], j) + dpsi[j] * inner[j] for j in range(n))
+    Q = assemble_factorization(A, phi, psi, semiclassical)
+    normal = (-sum(D(S(Q.B[j][k]) * D(u, k), j) for j in range(n) for k in range(n))
+              + sum(S(Q.v[j]) * D(u, j) for j in range(n)) + S(Q.v0) * u)
+    assert sympy.expand(literal - normal) == 0
 
 
 # --------------------------------------------------------- kernel necessity
@@ -215,8 +253,12 @@ def test_construct_n2_chain_matches_golden(name):
 
 def _random_system(rng: random.Random, kind: str):
     """A sparse rational system of one kind: full column rank and consistent,
-    rank-deficient (dependent rows and free columns) and consistent, or
-    inconsistent (a dependent row with a perturbed right side)."""
+    rank-deficient (dependent rows and free columns) and consistent,
+    inconsistent (a dependent row with a perturbed right side), or large
+    (numerators to 1e12, denominators to 1e6 drawn per entry, with a
+    dependent row whose right side is perturbed half the time)."""
+    if kind == "large":
+        return _large_system(rng)
     ncols = rng.randint(2, 8)
     nrows = ncols + rng.randint(0, 3) if kind == "full" else rng.randint(2, 9)
 
@@ -260,12 +302,51 @@ def _random_system(rng: random.Random, kind: str):
     return rows, rhs, ncols
 
 
-@pytest.mark.parametrize("kind", ["full", "deficient", "inconsistent"])
+def _big(rng: random.Random) -> Fraction:
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**12), rng.randint(1, 10**6))
+
+
+def _large_system(rng: random.Random):
+    ncols = rng.randint(2, 6)
+    rows = [{c: _big(rng) for c in rng.sample(range(ncols), rng.randint(1, ncols))}
+            for _ in range(rng.randint(1, ncols + 1))]
+    i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+    a, b = _big(rng), _big(rng)
+    dep = {c: a * rows[i].get(c, 0) + b * rows[j].get(c, 0) for c in set(rows[i]) | set(rows[j])}
+    rows.append({c: v for c, v in dep.items() if v})
+    x0 = [_big(rng) for _ in range(ncols)]
+    rhs = [sum((v * x0[c] for c, v in row.items()), Fraction(0)) for row in rows]
+    if rng.random() < 0.5:
+        rhs[-1] += _big(rng)
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    return [rows[r] for r in order], [rhs[r] for r in order], ncols
+
+
+def _cancelling_systems():
+    """A consistent and an inconsistent system whose second row is a rational
+    multiple of the first with other denominators, so it cancels to zero only
+    once both rows are scaled to integers."""
+    first = {0: Fraction(999999999989, 999983), 1: Fraction(-123456789012, 999979),
+             2: Fraction(1, 10**6)}
+    scale = Fraction(-7 * 10**11, 999961)
+    rows = [first, {c: scale * v for c, v in first.items()},
+            {1: Fraction(3, 999953), 2: Fraction(5 * 10**11, 7)}]
+    x0 = [Fraction(10**12, 999983), Fraction(-3, 7), Fraction(11, 10**6)]
+    rhs = [sum((v * x0[c] for c, v in row.items()), Fraction(0)) for row in rows]
+    bad = list(rhs)
+    bad[1] += Fraction(1, 999999)
+    return [(rows, rhs, 3), (rows, bad, 3)]
+
+
+@pytest.mark.parametrize("kind", ["full", "deficient", "inconsistent", "large"])
 def test_solve_linear_fraction_against_sympy(kind):
     sympy = pytest.importorskip("sympy")
     rng = random.Random(f"solve:{kind}")
-    for _ in range(40):
-        rows, rhs, ncols = _random_system(rng, kind)
+    systems = [_random_system(rng, kind) for _ in range(40)]
+    if kind == "large":
+        systems += _cancelling_systems()
+    for rows, rhs, ncols in systems:
         A = sympy.Matrix([[sympy.Rational(r.get(c, 0)) for c in range(ncols)] for r in rows])
         b = sympy.Matrix([sympy.Rational(v) for v in rhs])
         sol = susy._solve_linear_fraction(rows, rhs, ncols)
@@ -274,6 +355,7 @@ def test_solve_linear_fraction_against_sympy(kind):
             assert sol is None
         if sol is None:
             continue
+        assert all(type(v) is Fraction for v in sol)
         assert all(sum((v * sol[c] for c, v in row.items()), Fraction(0)) == r
                    for row, r in zip(rows, rhs))
         _, pivots = A.rref()

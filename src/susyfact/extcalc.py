@@ -1,22 +1,20 @@
-"""Exterior calculus on R^n with polynomial coefficients.
+"""Multivector fields on R^n with polynomial coefficients.
 
-Both differential forms and multivector fields are stored degree by degree as
-maps from strictly increasing index tuples to polynomials.  The operators
+A multivector field is stored degree by degree as a map from strictly
+increasing index tuples to polynomials.  The codifferential
 
-    d  = sum_j dx_j^ ∘ d/dx_j          (on forms)
-    delta = -sum_j d/dx_j ∘ dx_j_|     (on multivectors)
+    delta = -sum_j d/dx_j ∘ dx_j_|
 
-act with exact rational coefficients.  Exactness of the delta-complex in
-degree 1 is made effective by a radial Poincare homotopy: a divergence-free
-vector field v is dualized into a closed (n-1)-form by contraction with the
-Lebesgue volume form, primitived by the homotopy operator
+acts with exact rational coefficients.  Exactness of the delta-complex in
+degree 1 is made effective by the radial primitive in closed form: a
+divergence-free vector field v splits into parts v^(d) homogeneous of degree d
+in x, and by
 
-    K(omega)(x) = int_0^1 t^{p-1} (x _| omega)(t x) dt,
+    sum_j d/dx_j (x_j v_k^(d) - x_k v_j^(d)) = (n + d - 1) v_k^(d) - x_k div v^(d)
 
-which on a monomial section integrates exactly over the rationals, and then
-dualized back to a 2-vector.  Orientation and sign conventions are never
-trusted: the returned primitive is always re-verified against the residual
-identity before it leaves the function.
+the 2-vector with components 2 (x_j v_k^(d) - x_k v_j^(d)) / (n + d - 1),
+summed over d, has delta = -2 v.  The returned primitive is re-verified
+against that identity before it leaves the function.
 """
 
 from __future__ import annotations
@@ -103,16 +101,7 @@ class Section:
         return f"Section(deg={self.degree}, " + "; ".join(parts) + ")"
 
 
-FormField = Section
 MultiVector = Section
-
-
-def wedge_insert(j: int, idx: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    """Sign and sorted tuple for e_j ^ e_idx; None if j already occurs."""
-    if j in idx:
-        return None
-    pos = sum(1 for i in idx if i < j)
-    return (-1) ** pos, idx[:pos] + (j,) + idx[pos:]
 
 
 def contract(j: int, idx: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
@@ -121,23 +110,6 @@ def contract(j: int, idx: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None
         return None
     pos = idx.index(j)
     return (-1) ** pos, idx[:pos] + idx[pos + 1:]
-
-
-def d(omega: FormField) -> FormField:
-    """Exterior derivative; on top-degree forms returns the zero form."""
-    space = omega.space
-    out: dict[tuple[int, ...], Poly] = {}
-    for idx, p in omega.coefficients.items():
-        for j, name in enumerate(space.names):
-            dp = p.partial(name)
-            if dp.is_zero:
-                continue
-            w = wedge_insert(j, idx)
-            if w is None:
-                continue
-            sign, new = w
-            out[new] = out.get(new, Poly.zero(space)) + dp * sign
-    return Section(space, omega.degree + 1, out)
 
 
 def delta(X: MultiVector) -> MultiVector:
@@ -157,75 +129,6 @@ def delta(X: MultiVector) -> MultiVector:
                 continue
             out[new] = out.get(new, Poly.zero(space)) - dp * sign
     return Section(space, X.degree - 1, out)
-
-
-# --------------------------------------------------------------------- duality
-
-def _complement(idx: tuple[int, ...], n: int) -> tuple[int, ...]:
-    s = set(idx)
-    return tuple(i for i in range(n) if i not in s)
-
-
-def _perm_sign(idx: tuple[int, ...], comp: tuple[int, ...]) -> int:
-    """Sign of the permutation (idx, comp) of (0..n-1); both pieces increasing."""
-    seq = idx + comp
-    sign = 1
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] > seq[b]:
-                sign = -sign
-    return sign
-
-
-def vector_to_form(X: MultiVector) -> FormField:
-    """Contract a k-vector with the Lebesgue volume form dx_1^...^dx_n,
-    producing an (n-k)-form.  The coefficient picks up the sign of the
-    shuffle permutation."""
-    n = X.space.n
-    out = {}
-    for idx, p in X.coefficients.items():
-        comp = _complement(idx, n)
-        out[comp] = p * _perm_sign(idx, comp)
-    return Section(X.space, n - X.degree, out)
-
-
-def form_to_vector(omega: FormField) -> MultiVector:
-    """Inverse of vector_to_form."""
-    n = omega.space.n
-    out = {}
-    for comp, p in omega.coefficients.items():
-        idx = _complement(comp, n)
-        out[idx] = p * _perm_sign(idx, comp)
-    return Section(omega.space, n - omega.degree, out)
-
-
-# ----------------------------------------------------------- Poincare homotopy
-
-def poincare_homotopy(omega: FormField) -> FormField:
-    """Radial homotopy operator K with d∘K + K∘d = identity on positive-degree
-    forms over R^n (base point the origin).
-
-    On a monomial section x^a dx_J of degree p the operator evaluates to
-
-        sum_i (-1)^{i-1} x_{j_i} x^a / (|a| + p) dx_{J \\ j_i},
-
-    the rational factor coming from int_0^1 t^{|a|+p-1} dt.
-    """
-    p = omega.degree
-    if p < 1:
-        raise ExtCalcError("the homotopy operator acts on degree >= 1")
-    space = omega.space
-    out: dict[tuple[int, ...], Poly] = {}
-    for idx, poly in omega.coefficients.items():
-        for (exps, hpow), c in poly.terms.items():
-            weight = Fraction(1, sum(exps) + p)
-            for pos, j in enumerate(idx):
-                sign = (-1) ** pos
-                new_exps = tuple(e + 1 if i == j else e for i, e in enumerate(exps))
-                mono = Poly(space, {(new_exps, hpow): c * weight * sign})
-                key = idx[:pos] + idx[pos + 1:]
-                out[key] = out.get(key, Poly.zero(space)) + mono
-    return Section(space, p - 1, out)
 
 
 def homotopy_inverse_delta(v: MultiVector) -> MultiVector:
@@ -248,19 +151,19 @@ def homotopy_inverse_delta(v: MultiVector) -> MultiVector:
     if n == 1:
         # the only divergence-free field in one variable is constant 0
         raise ExtCalcError("nonzero divergence-free field cannot exist over R^1")
-    omega = vector_to_form(v)          # closed (n-1)-form
-    beta = poincare_homotopy(omega)    # primitive: d(beta) = omega
-    gamma_raw = form_to_vector(beta)   # 2-vector with delta(gamma_raw) = ±v
-    resid = delta(gamma_raw)
-    if resid == v:
-        gamma = gamma_raw.scale(-2)
-    elif resid == -v:
-        gamma = gamma_raw.scale(2)
-    else:
-        raise ExtCalcError("homotopy construction failed its residual check")
-    check = delta(gamma) + v.scale(2)
-    if not check.is_zero:
-        raise ExtCalcError("normalization check failed")
+
+    def radial(j: int, k: int) -> Poly:
+        # 2 x_j v_k^(d) / (n + d - 1), summed over the homogeneous parts of v_k
+        terms = {}
+        for (exps, hpow), c in v.get((k,)).terms.items():
+            raised = exps[:j] + (exps[j] + 1,) + exps[j + 1:]
+            terms[(raised, hpow)] = c * Fraction(2, n + sum(exps) - 1)
+        return Poly(space, terms)
+
+    gamma = Section(space, 2, {(j, k): radial(j, k) - radial(k, j)
+                               for j in range(n) for k in range(j + 1, n)})
+    if not (delta(gamma) + v.scale(2)).is_zero:
+        raise ExtCalcError("radial primitive failed its residual check")
     return gamma
 
 
@@ -276,17 +179,3 @@ def antisym_matrix_from_2vector(G: MultiVector) -> dict[tuple[int, int], Poly]:
         out[(j, k)] = half
         out[(k, j)] = -half
     return out
-
-
-def two_vector_from_antisym_matrix(space: VarSpace, C: Mapping[tuple[int, int], Poly]) -> MultiVector:
-    """Inverse of antisym_matrix_from_2vector for an antisymmetric C."""
-    out: dict[tuple[int, ...], Poly] = {}
-    for (j, k), p in C.items():
-        if j == k:
-            if not p.is_zero:
-                raise ExtCalcError("antisymmetric matrix has a nonzero diagonal entry")
-            continue
-        a, b = (j, k) if j < k else (k, j)
-        signed = p if j < k else -p
-        out[(a, b)] = out.get((a, b), Poly.zero(space)) + signed
-    return Section(space, 2, out)

@@ -160,7 +160,11 @@ def _saddle_and_targets(cfg: ChainConfig) -> tuple[np.ndarray, np.ndarray, float
     space = cfg.space
     x1 = chain_var(space, "x", 1)
     ix1 = space.index(x1)
-    w1pp = cfg.W1.partial(x1).partial(x1)
+    w1p = cfg.W1.partial(x1)
+    if not w1p.is_h_free() or w1p.degree_in([x1]) == 0:
+        raise UnsupportedConfig("the heteroclinic construction needs an h-free W1 whose "
+                                "derivative is not constant")
+    w1pp = w1p.partial(x1)
     saddles, minima = [], []
     for pt in stationary_points(cfg):
         w = w1pp.evaluate(dict(zip(space.names, pt)))
@@ -297,7 +301,7 @@ class CascadeReport:
 def cascade_check(cfg: ChainConfig, point: Sequence[float]) -> CascadeReport:
     """Classify a point and evaluate the derivative cascade nu^k(phi0)."""
     if cfg.gamma != 1:
-        raise FlowError("the cascade identities are implemented for gamma = 1")
+        raise UnsupportedConfig("the cascade identities are implemented for gamma = 1")
     space = cfg.space
     phi0 = chain_phi0(cfg)
     iterates = nu_iterates(cfg, phi0, 5)
@@ -335,6 +339,7 @@ def quintic_bound_probe(cfg: ChainConfig, points: Sequence[Sequence[float]]) -> 
 
     out = []
     for point in points:
+        case = cascade_check(cfg, point).case  # refuses gamma != 1 before integrating
         state0 = np.append(np.asarray(point, dtype=float), 0.0)
         sol = solve_ivp(rhs_aug, (0.0, PROBE_T_MAX), state0, method="DOP853",
                         rtol=1e-12, atol=1e-16, dense_output=True)
@@ -355,7 +360,6 @@ def quintic_bound_probe(cfg: ChainConfig, points: Sequence[Sequence[float]]) -> 
         # fit on the smallest window where the increment is above round-off
         mask = resolvable & (ts <= min(4.5 * t0, PROBE_T_MAX))
         slope = np.polyfit(np.log(ts[mask]), np.log(deltas[mask]), 1)[0]
-        case = cascade_check(cfg, point).case
         C_witness = float(np.max(ts[resolvable] ** 5 / deltas[resolvable]))
         out.append({"point": [float(v) for v in point], "case": case,
                     "slope": float(slope), "C_witness": C_witness,

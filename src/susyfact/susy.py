@@ -13,10 +13,10 @@ weighted divergence equation
 
     sum_j (D_j - g_j) C_{jk} = vtilde_k,       g = d(phi + psi),
 
-either through the exterior-calculus homotopy (unweighted case) or through an
-exact bounded-degree linear solve over the rationals (weighted case).  Every
-construction is re-verified against the factorization identity before a
-verdict is issued.
+either through the closed-form radial primitive of `extcalc` (unweighted
+case, g = 0) or through an exact bounded-degree linear solve over the
+rationals (weighted case).  Every construction is re-verified against the
+factorization identity before a verdict is issued.
 """
 
 from __future__ import annotations
@@ -308,9 +308,9 @@ def construct(P: SecondOrderOperator, phi: Poly, psi: Poly) -> SusyVerdict:
 
     Steps: verify the kernel conditions; conjugate by e^{phi/h} so the zero
     order vanishes; reduce to the weighted divergence equation for the
-    antisymmetric part; solve it (homotopy operator when the combined weight
-    is constant, exact linear algebra otherwise); re-verify the factorization
-    identity exactly.
+    antisymmetric part; solve it (closed-form radial primitive when the
+    combined weight is constant, exact linear algebra otherwise); re-verify
+    the factorization identity exactly.
     """
     nec = check_necessary(P, phi, psi)
     if nec.status != "verified":

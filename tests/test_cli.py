@@ -226,10 +226,19 @@ def test_obstruct_refuses_bump_outside_the_orbit(tmp_path, capsys, monkeypatch):
       "W2": "1/2*x2_1^2 + 1/2*x2_2^2", "deltaW": "1/10*x1_1*x2_1^3"}, "n = 1"),
     # a saddle without a well
     ({"W1": "-1/2*x1^2"}, "no minimum on either side"),
+    # no isolated stationary points, or an h-dependent W1'
+    ({"W1": "x1"}, "h-free W1 whose derivative is not constant"),
+    ({"W1": "0"}, "h-free W1 whose derivative is not constant"),
+    ({"W1": "1/4*x1^4 - 1/2*x1^2 + 1/4 + h*x1^2"}, "h-free W1 whose derivative is not constant"),
 ])
-def test_unsupported_regimes_exit_2(tmp_path, capsys, changes, message):
-    # outside the supported regime is a usage error, not a mathematical negative
+def test_unsupported_regimes_exit_2(tmp_path, capsys, monkeypatch, changes, message):
+    # outside the supported regime is a usage error, not a mathematical
+    # negative, and it is refused before any integration
     path = _unequal_with(tmp_path, **changes)
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated before refusing")
+    monkeypatch.setattr("susyfact.flow.integrate", no_integration)
     for command in ("flow", "obstruct"):
         assert main([command, "--config", path]) == EXIT_USAGE, command
         assert message in capsys.readouterr().err, command

@@ -7,11 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from susyfact.flow import (FlowError, cascade_check, gamma1_interpolant,
+from susyfact.flow import (cascade_check, gamma1_interpolant,
                            heteroclinic_gamma1, integrate, lyapunov_report,
                            nu_apply, nu_components, nu_field, nu_iterates,
                            quintic_bound_probe, stationary_points)
-from susyfact.models import chain_phi0, default_chain_config
+from susyfact.models import ChainConfig, UnsupportedConfig, chain_phi0, default_chain_config
 from susyfact.polyalg import Poly, parse_poly
 
 
@@ -61,11 +61,21 @@ def test_nu_iterates_chain_rule(cfg):
 
 
 def test_cascade_requires_unit_gamma(cfg):
-    from susyfact.models import ChainConfig
     bad = ChainConfig(1, cfg.W1, cfg.W2, cfg.deltaW, cfg.alpha1, cfg.alpha2,
                       Fraction(2))
-    with pytest.raises(FlowError):
+    with pytest.raises(UnsupportedConfig):
         cascade_check(bad, [0.5, 0.0, 0.1, 0.0, 0.0, 0.0])
+
+
+def test_quintic_probe_refuses_unit_gamma_before_integrating(cfg, monkeypatch):
+    # gamma != 1 is an unsupported regime (exit 2), not a numerical failure
+    bad = ChainConfig(1, cfg.W1, cfg.W2, cfg.deltaW, cfg.alpha1, cfg.alpha2, Fraction(2))
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated before refusing")
+    monkeypatch.setattr("susyfact.flow.solve_ivp", no_integration)
+    with pytest.raises(UnsupportedConfig, match="gamma = 1"):
+        quintic_bound_probe(bad, [[0.5, 0.0, 0.1, 0.0, 0.0, 0.0]])
 
 
 # ------------------------------------------------------- stationary analysis

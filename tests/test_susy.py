@@ -419,3 +419,153 @@ def test_weighted_divergence_solve_round_trip(problem, semiclassical):
             dC = C[j][k].partial(sp.names[j])
             image = image + (dC.h_shift(1) if semiclassical else dC) - g_poly[j] * C[j][k]
         assert image == vt_poly[k]
+
+
+# --------------------------------------------- the unweighted divergence solve
+
+def _divergence_free_field(rng: random.Random, sp: VarSpace, max_hpow: int) -> list[Poly]:
+    """r_k = sum_j d_j G_jk for a random antisymmetric G with rational
+    coefficients, so sum_k d_k r_k = 0; redrawn until r is nonzero."""
+    n = sp.n
+    while True:
+        G = {}
+        for j in range(n):
+            for k in range(j + 1, n):
+                terms = {}
+                for _ in range(rng.randint(0, 2)):
+                    exps = tuple(rng.randint(0, 2) for _ in range(n))
+                    terms[(exps, rng.randint(0, max_hpow))] = Fraction(rng.randint(-9, 9),
+                                                                      rng.randint(1, 5))
+                G[(j, k)] = Poly(sp, terms)
+                G[(k, j)] = -G[(j, k)]
+        r = [sum((G[(j, k)].partial(sp.names[j]) for j in range(n) if j != k), Poly.zero(sp))
+             for k in range(n)]
+        if not all(p.is_zero for p in r):
+            return r
+
+
+def _unweighted_cases():
+    """Twenty seeded divergence-free drifts over n = 2..5, both calculi and
+    h powers 0..2, plus a nonzero constant drift in one variable (which no
+    antisymmetric part can produce).  Each case is (name, P) with B = 1 and
+    zero potential, so construct(P, 0, 0) takes the unweighted path."""
+    rng = random.Random(20121)
+    cases = []
+    for i in range(20):
+        n, semiclassical, max_hpow = 2 + i % 4, (i // 4) % 2 == 1, i % 3
+        sp = VarSpace.make(NAMES[:n] + tuple(f"x{m}" for m in range(len(NAMES) + 1, n + 1)))
+        r = _divergence_free_field(rng, sp, max_hpow)
+        v = tuple(p.h_shift(1) for p in r) if semiclassical else tuple(r)
+        P = SecondOrderOperator(sp, identity_matrix(sp), v, Poly.zero(sp), semiclassical)
+        cases.append((f"n{n}_{'semiclassical' if semiclassical else 'flat'}_h{max_hpow}_{i}", P))
+    sp = VarSpace.make(NAMES[:1])
+    cases.append(("n1_constant", SecondOrderOperator(sp, identity_matrix(sp), (Poly.const(sp, 1),),
+                                                     Poly.zero(sp), False)))
+    return cases
+
+
+def test_construct_unweighted_fields_match_golden():
+    # which particular A the unweighted solve returns is behaviour: pinned byte for byte
+    got = {}
+    for name, P in _unweighted_cases():
+        zero = Poly.zero(P.space)
+        got[name] = construct(P, zero, zero).to_json_dict()
+    assert [v["status"] for v in got.values()] == ["constructed"] * 20 + ["construction_failed"]
+    assert canonical_json(got).encode() == (GOLDEN / "construct_unweighted_fields.json").read_bytes()
+
+
+def _from_sympy(expr, sp: VarSpace, sympy) -> Poly:
+    """A sympy polynomial in the variables of sp and h, as a Poly."""
+    poly = sympy.Poly(sympy.expand(expr), *sympy.symbols(sp.names), sympy.Symbol("h"))
+    return Poly(sp, {(tuple(m[:-1]), m[-1]): Fraction(int(c.p), int(c.q))
+                     for m, c in poly.terms()})
+
+
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+    matrices(VarSpace.make(NAMES[:n]), max_deg=2, max_hpow=2, max_terms=2), st.booleans())))
+@settings(max_examples=25, deadline=None)
+def test_unweighted_construct_against_sympy(data):
+    # independent oracle: r = div G for an antisymmetric G, both in sympy; the
+    # C that construct returns must be antisymmetric with sum_j d_j C_jk = r_k
+    sympy = pytest.importorskip("sympy")
+    M, semiclassical = data
+    sp = M[0][0].space
+    n = sp.n
+    xs = sympy.symbols(sp.names)
+    G = [[sympy.Integer(0)] * n for _ in range(n)]
+    for j in range(n):
+        for k in range(j + 1, n):
+            G[j][k] = as_sympy(M[j][k], sympy)
+            G[k][j] = -G[j][k]
+    r = [sum(sympy.diff(G[j][k], xs[j]) for j in range(n)) for k in range(n)]
+    scale = sympy.Symbol("h") if semiclassical else 1
+    v = tuple(_from_sympy(rk * scale, sp, sympy) for rk in r)
+    zero = Poly.zero(sp)
+    P = SecondOrderOperator(sp, identity_matrix(sp), v, zero, semiclassical)
+    verdict = construct(P, zero, zero)
+    assert verdict.status == "constructed"
+    C = [[as_sympy(verdict.structure.A[j][k] - P.B[j][k], sympy) for k in range(n)]
+         for j in range(n)]
+    for j in range(n):
+        for k in range(n):
+            assert sympy.expand(C[j][k] + C[k][j]) == 0
+    for k in range(n):
+        assert sympy.expand(sum(sympy.diff(C[j][k], xs[j]) for j in range(n)) - r[k]) == 0
+
+
+# ------------------------------------------------------- metamorphic checks
+
+def _permutation(sp: VarSpace, sigma: list[int]):
+    """The map p -> p with variable j moved to position sigma[j] of the
+    variable list (same names and blocks): a pure relabelling."""
+    names = [""] * sp.n
+    for j, t in enumerate(sigma):
+        names[t] = sp.names[j]
+    target = VarSpace.make(names, dict(sp.blocks))
+
+    def move(p: Poly) -> Poly:
+        terms = {}
+        for (exps, hpow), c in p.terms.items():
+            moved = [0] * sp.n
+            for j, t in enumerate(sigma):
+                moved[t] = exps[j]
+            terms[(tuple(moved), hpow)] = c
+        return Poly(target, terms)
+    return target, move
+
+
+def _move_matrix(A, sigma, move):
+    n = len(sigma)
+    out = [[None] * n for _ in range(n)]
+    for j in range(n):
+        for k in range(n):
+            out[sigma[j]][sigma[k]] = move(A[j][k])
+    return out
+
+
+def test_construct_verdicts_survive_a_permutation_of_the_variables():
+    rng = random.Random(2012)
+    cases = [(name, b.conjugated, b.phi0) for name, b in sorted(reference_bundles().items())]
+    cases += [(name, P, Poly.zero(P.space)) for name, P in _unweighted_cases()]
+    for name, P, phi in cases:
+        n = P.space.n
+        sigma = list(range(n))
+        while n > 1 and sigma == sorted(sigma):
+            rng.shuffle(sigma)
+        target, move = _permutation(P.space, sigma)
+        moved_v = [None] * n
+        for j in range(n):
+            moved_v[sigma[j]] = move(P.v[j])
+        Pp = SecondOrderOperator(target, _move_matrix(P.B, sigma, move), moved_v,
+                                 move(P.v0), P.semiclassical)
+        verdict = construct(P, phi, phi)
+        permuted = construct(Pp, move(phi), move(phi))
+        assert permuted.status == verdict.status, name
+        if verdict.structure is None:
+            continue
+        moved = SusyStructure(_move_matrix(verdict.structure.A, sigma, move),
+                              move(phi), move(phi))
+        assert verify_structure(Pp, moved).status == "verified", name
+        if phi.is_zero:
+            # the radial primitive treats every variable alike
+            assert permuted.structure.A == moved.A, name

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from susyfact.opcore import SecondOrderOperator
 from susyfact.polyalg import Poly, VarSpace
 
 NAMES = ("x1", "x2", "x3", "x4")
@@ -48,6 +49,27 @@ def poly_pairs(max_n: int = 4, **kw):
 def poly_triples(max_n: int = 4, **kw):
     return spaces(max_n).flatmap(
         lambda sp: st.tuples(polys(sp, **kw), polys(sp, **kw), polys(sp, **kw)))
+
+
+def operators(max_n: int = 3, calculi=(True,), **kw):
+    """Operators with symmetric B and random coefficients; the calculus is
+    drawn from `calculi` (True: D = h d, False: D = d)."""
+    def per_space(n):
+        sp = VarSpace.make(NAMES[:n])
+        upper = st.fixed_dictionaries({(j, k): polys(sp, **kw)
+                                       for j in range(n) for k in range(j, n)})
+
+        def build(parts):
+            up, v, v0, semiclassical = parts
+            B = [[None] * n for _ in range(n)]
+            for (j, k), p in up.items():
+                B[j][k] = p
+                B[k][j] = p
+            return SecondOrderOperator(sp, tuple(tuple(r) for r in B),
+                                       tuple(v), v0, semiclassical)
+        return st.tuples(upper, st.tuples(*[polys(sp, **kw)] * n),
+                         polys(sp, **kw), st.sampled_from(calculi)).map(build)
+    return st.integers(1, max_n).flatmap(per_space)
 
 
 def as_sympy(p: Poly, sympy):

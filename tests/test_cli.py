@@ -111,6 +111,16 @@ def test_construct_model_and_operator_spec(capsys):
     assert rc == EXIT_OK and rep["verdict"]["status"] == "constructed"
 
 
+def test_construct_zero_variable_operator(tmp_path, capsys):
+    # no variables: the empty structure factorizes the zero operator
+    spec = tmp_path / "zero.json"
+    spec.write_text('{"variables": [], "v0": []}')
+    rc, rep = run(capsys, "construct", "--operator", str(spec))
+    assert rc == EXIT_OK
+    assert rep["verdict"] == {"status": "constructed",
+                              "structure": {"A": [], "phi": [], "psi": []}}
+
+
 def test_verify_models(capsys):
     rc, rep = run(capsys, "verify-models")
     assert rc == EXIT_OK
@@ -283,6 +293,8 @@ GOLDEN_CASES = [
     ("construct_chain_equal.json", EXIT_OK,
      ["construct", "--config", "chain_equal", "--phi",
       "1/2 + z2^2 + y2^2 - 2*x2*z2 + 2*x2^2 + z1^2 + y1^2 - 2*x1*z1 + 1/5*x1*x2^3 + 1/2*x1^4"]),
+    ("check_witten_adjoint_fails.json", EXIT_MATH,
+     ["check", "--model", "witten_harmonic", "--phi", "x1^2", "--psi", "x1^3"]),
     ("check_chain_unequal.json", EXIT_MATH,
      ["check", "--config", "chain_unequal", "--phi",
       "1/2 + 1/2*z2^2 + 1/2*y2^2 - x2*z2 + x2^2 + z1^2 + y1^2 - 2*x1*z1 + 1/2*x1^4"]),

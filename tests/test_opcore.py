@@ -12,28 +12,9 @@ from susyfact.opcore import (OperatorError, SecondOrderOperator, identity_matrix
                              laplacian, matrix_from_entries, zero_matrix)
 from susyfact.polyalg import Poly, VarSpace, parse_poly
 
-from conftest import NAMES, polys
+from conftest import NAMES, as_sympy, operators, polys
 
 SP = VarSpace.make(["x1", "x2"])
-
-
-def operators(max_n: int = 3, **kw):
-    def per_space(n):
-        sp = VarSpace.make(NAMES[:n])
-        upper = st.fixed_dictionaries({(j, k): polys(sp, **kw)
-                                       for j in range(n) for k in range(j, n)})
-
-        def build(parts):
-            up, v, v0 = parts
-            B = [[None] * n for _ in range(n)]
-            for (j, k), p in up.items():
-                B[j][k] = p
-                B[k][j] = p
-            return SecondOrderOperator(sp, tuple(tuple(r) for r in B),
-                                       tuple(v), v0, True)
-        return st.tuples(upper, st.tuples(*[polys(sp, **kw)] * n),
-                         polys(sp, **kw)).map(build)
-    return st.integers(1, max_n).flatmap(per_space)
 
 
 def weights(max_n: int = 3, **kw):
@@ -142,6 +123,79 @@ def test_kernel_test():
                             -2 * Poly.h(sp), True)
     rep = Q.kernel_test(2 * V)
     assert rep.vanishes and rep.residual.is_zero
+
+
+# ------------------------------------------------- independent sympy oracles
+
+def _applied(P: SecondOrderOperator, u, sympy):
+    """-sum D_j B_jk D_k u + sum v_j D_j u + v0 u, written out in sympy from
+    P's coefficients (D_j = h d_j, or d_j in the flat calculus)."""
+    xs = sympy.symbols(P.space.names)
+    hbar = sympy.Symbol("h") if P.semiclassical else 1
+    n = P.space.n
+
+    def D(e, j):
+        return hbar * sympy.diff(e, xs[j])
+
+    def S(p):
+        return as_sympy(p, sympy)
+
+    return (-sum(D(S(P.B[j][k]) * D(u, k), j) for j in range(n) for k in range(n))
+            + sum(S(P.v[j]) * D(u, j) for j in range(n)) + S(P.v0) * u)
+
+
+@st.composite
+def _operator_and_weight(draw):
+    P = draw(operators(max_n=2, calculi=(True, False), max_deg=2, max_hpow=1, max_terms=2))
+    return P, draw(polys(P.space, max_deg=3, max_hpow=0, max_terms=3))
+
+
+def _weight(P: SecondOrderOperator, phi: Poly, s: int, sympy):
+    """e^{s phi/h}, or e^{s phi} in the flat calculus."""
+    hbar = sympy.Symbol("h") if P.semiclassical else 1
+    return sympy.exp(s * as_sympy(phi, sympy) / hbar)
+
+
+@given(_operator_and_weight())
+@settings(max_examples=30, deadline=None)
+def test_exp_conjugate_against_literal_conjugation(data):
+    # e^{s phi/h} ∘ P ∘ e^{-s phi/h} applied to a generic u, both signs
+    sympy = pytest.importorskip("sympy")
+    P, phi = data
+    u = sympy.Function("u")(*sympy.symbols(P.space.names))
+    for s in (1, -1):
+        E = _weight(P, phi, s, sympy)
+        literal = sympy.expand(E * _applied(P, u / E, sympy))
+        assert literal == sympy.expand(_applied(P.exp_conjugate(phi, s), u, sympy)), s
+
+
+@given(_operator_and_weight())
+@settings(max_examples=30, deadline=None)
+def test_kernel_test_against_literal_residual(data):
+    # P(e^{-phi/h}) = r e^{-phi/h}, expanded
+    sympy = pytest.importorskip("sympy")
+    P, phi = data
+    E = _weight(P, phi, 1, sympy)
+    report = P.kernel_test(phi)
+    assert sympy.expand(E * _applied(P, 1 / E, sympy)) == sympy.expand(as_sympy(report.residual, sympy))
+    assert report.vanishes == report.residual.is_zero
+
+
+@given(operators(max_n=3, calculi=(True, False), max_deg=2, max_hpow=1, max_terms=2))
+@settings(max_examples=30, deadline=None)
+def test_adjoint_against_integration_by_parts(P):
+    # w P u - u P* w = sum_j D_j J_j with the flux
+    # J_j = sum_k B_jk (u D_k w - w D_k u) + v_j u w, for generic u and w
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(P.space.names)
+    hbar = sympy.Symbol("h") if P.semiclassical else 1
+    n = P.space.n
+    u, w = sympy.Function("u")(*xs), sympy.Function("w")(*xs)
+    J = [sum(as_sympy(P.B[j][k], sympy) * (u * sympy.diff(w, xs[k]) - w * sympy.diff(u, xs[k]))
+             for k in range(n)) * hbar + as_sympy(P.v[j], sympy) * u * w for j in range(n)]
+    flux = sum(hbar * sympy.diff(J[j], xs[j]) for j in range(n))
+    lagrange = w * _applied(P, u, sympy) - u * _applied(P.adjoint(), w, sympy)
+    assert sympy.expand(lagrange - flux) == 0
 
 
 # ------------------------------------------------------------------- symbols

@@ -19,7 +19,7 @@ from susyfact.susy import (SusyStructure, assemble_factorization, check_necessar
                            construct, verify_reference_structures,
                            verify_structure)
 
-from conftest import NAMES, as_sympy, polys, rationals
+from conftest import NAMES, as_sympy, operators, polys, rationals
 
 
 def matrices(space: VarSpace, **kw):
@@ -113,6 +113,35 @@ def test_check_necessary_verified_and_failed():
     bad = check_necessary(P, parse_poly(sp, "x1^4"), Poly.zero(sp))
     assert bad.status == "necessary_condition_failed"
     assert bad.failure_witness is not None and not bad.failure_witness.is_zero
+
+
+@st.composite
+def _kernel_problems(draw):
+    P = draw(operators(max_n=3, calculi=(True, False), max_deg=2, max_hpow=1, max_terms=2))
+    phi = draw(polys(P.space, max_deg=3, max_hpow=0, max_terms=3))
+    psi = draw(polys(P.space, max_deg=3, max_hpow=1, max_terms=3))
+    return P, phi, psi, draw(st.booleans())
+
+
+@given(_kernel_problems())
+@settings(max_examples=100, deadline=None)
+def test_kernel_verdict_matches_both_kernel_tests(problem):
+    # reference: the two kernel tests run separately, the adjoint one through
+    # P.adjoint(); with force the zero order is shifted so that P kills
+    # e^{-phi/h} and only the adjoint condition decides
+    P, phi, psi, force = problem
+    if force:
+        P = SecondOrderOperator(P.space, P.B, P.v, P.v0 - P.exp_conjugate(phi).v0,
+                                P.semiclassical)
+    forward = P.kernel_test(phi)
+    want = forward if not forward.vanishes else P.adjoint().kernel_test(psi)
+    verdict = check_necessary(P, phi, psi)
+    if want.vanishes:
+        assert verdict.status == "verified" and verdict.failure_witness is None
+        return
+    assert verdict.status == "necessary_condition_failed"
+    assert verdict.failure_witness == want.residual
+    assert construct(P, phi, psi) == verdict
 
 
 # --------------------------------------------------------------- construction

@@ -7,7 +7,7 @@ unequal temperatures.
 """
 
 from .polyalg import Poly, PolyError, VarSpace, parse_poly, parse_rational
-from .extcalc import MultiVector, Section, delta, homotopy_inverse_delta
+from .extcalc import homotopy_inverse_delta
 from .opcore import (KernelTestReport, OperatorError, SecondOrderOperator,
                      identity_matrix, laplacian, matrix_from_entries,
                      zero_matrix)

@@ -95,7 +95,9 @@ class SecondOrderOperator:
         """Return e^{s phi/h} ∘ P ∘ e^{-s phi/h} in normal form (s = sign).
 
         Built from the identity e^{s phi/h} D_j e^{-s phi/h} = D_j - s d_j phi,
-        so every coefficient stays polynomial in x and h.
+        so every coefficient stays polynomial in x and h: with g = s d phi and
+        w = B g, v becomes v + 2w and v0 becomes
+        v0 - sum_j (v_j g_j - D_j w_j + g_j w_j).
         """
         if sign not in (1, -1):
             raise OperatorError("sign must be +1 or -1")
@@ -104,18 +106,11 @@ class SecondOrderOperator:
         n = self.space.n
         g = [phi.partial(name) * sign for name in self.space.names]
         B = self.B
-        v_new = []
-        for j in range(n):
-            vj = self.v[j]
-            for k in range(n):
-                vj = vj + 2 * B[j][k] * g[k]
-            v_new.append(vj)
+        w = [sum((B[j][k] * g[k] for k in range(n)), Poly.zero(self.space)) for j in range(n)]
+        v_new = [self.v[j] + 2 * w[j] for j in range(n)]
         v0_new = self.v0
         for j in range(n):
-            v0_new = v0_new - self.v[j] * g[j]
-            for k in range(n):
-                v0_new = v0_new + self._D(B[j][k] * g[k], j)
-                v0_new = v0_new - g[j] * B[j][k] * g[k]
+            v0_new = v0_new - (self.v[j] * g[j] - self._D(w[j], j) + g[j] * w[j])
         return SecondOrderOperator(self.space, B, tuple(v_new), v0_new, self.semiclassical)
 
     # ---------------------------------------------------------- kernel test

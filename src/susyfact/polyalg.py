@@ -285,20 +285,6 @@ class Poly:
         out = {k: c for k, c in self.terms.items() if not any(k[0][i] for i in idx)}
         return Poly(self.space, out)
 
-    def substitute(self, mapping: Mapping[str, "Poly"]) -> "Poly":
-        """Simultaneously replace variables by polynomials over the same space."""
-        idx = {self.space.index(v): p for v, p in mapping.items()}
-        for p in idx.values():
-            self._require_same_space(p)
-        out = Poly.zero(self.space)
-        for (exps, hpow), c in self.terms.items():
-            factor = Poly(self.space, {(tuple(0 if i in idx else e for i, e in enumerate(exps)), hpow): c})
-            for i, p in idx.items():
-                if exps[i]:
-                    factor = factor * p ** exps[i]
-            out = out + factor
-        return out
-
     def lift(self, target: VarSpace) -> "Poly":
         """Re-embed into a larger space containing the same variable names."""
         pos = [target.index(v) for v in self.space.names]

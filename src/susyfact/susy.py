@@ -6,12 +6,18 @@ A supersymmetric structure for a second-order operator P is a triple
     P u = sum_j (-D_j + d_j psi) [ sum_k A_{kj} (D_k u + (d_k phi) u) ],
 
 D_j the (semiclassical) derivative.  `assemble_factorization` expands the
-right side into divergence normal form; `check_necessary` runs the two kernel
-conditions P(e^{-phi/h}) = 0 and P*(e^{-psi/h}) = 0; `construct` builds the
+right side into divergence normal form.  `check_necessary` decides the two
+kernel conditions P(e^{-phi/h}) = 0 and P*(e^{-psi/h}) = 0 from one
+conjugation P1 = e^{phi/h} P e^{-phi/h}: the first is P1.v0 = 0, and once it
+holds, with g = d(phi + psi) and vtilde_k = P1.v_k - sum_j g_j B_jk,
+
+    P*(e^{-psi/h}) = r e^{-psi/h},     r = -sum_k (D_k - g_k) vtilde_k.
+
+`construct` takes g and vtilde from the same conjugation and builds the
 antisymmetric correction C so that A = B + C factorizes P, by solving the
 weighted divergence equation
 
-    sum_j (D_j - g_j) C_{jk} = vtilde_k,       g = d(phi + psi),
+    sum_j (D_j - g_j) C_{jk} = vtilde_k,
 
 either through the closed-form radial primitive of `extcalc` (unweighted
 case, g = 0) or through an exact bounded-degree linear solve over the
@@ -28,7 +34,7 @@ from itertools import combinations_with_replacement
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .extcalc import ExtCalcError, Section, antisym_matrix_from_2vector, homotopy_inverse_delta
+from .extcalc import ExtCalcError, homotopy_inverse_delta
 from .opcore import SecondOrderOperator, zero_matrix
 from .polyalg import Poly, PolyError, VarSpace
 
@@ -49,18 +55,6 @@ class SusyStructure:
     @property
     def space(self) -> VarSpace:
         return self.phi.space
-
-    @property
-    def sym_part(self) -> tuple[tuple[Poly, ...], ...]:
-        n = len(self.A)
-        return tuple(tuple((self.A[j][k] + self.A[k][j]) * Fraction(1, 2) for k in range(n))
-                     for j in range(n))
-
-    @property
-    def antisym_part(self) -> tuple[tuple[Poly, ...], ...]:
-        n = len(self.A)
-        return tuple(tuple((self.A[j][k] - self.A[k][j]) * Fraction(1, 2) for k in range(n))
-                     for j in range(n))
 
     def to_json_dict(self) -> dict:
         return {
@@ -125,16 +119,40 @@ def assemble_factorization(A: Sequence[Sequence[Poly]], phi: Poly, psi: Poly,
     return SecondOrderOperator(space, tuple(tuple(r) for r in B), tuple(v), v0, semiclassical)
 
 
+def _kernel_conditions(P: SecondOrderOperator, phi: Poly, psi: Poly
+                       ) -> tuple[SusyVerdict, list[Poly], list[Poly]]:
+    """Both kernel conditions from the one conjugation P1 = e^{phi/h} P e^{-phi/h}.
+
+    P(e^{-phi/h}) = P1.v0 e^{-phi/h}.  When that vanishes, P*(e^{-psi/h}) =
+    r e^{-psi/h} with r = -sum_k (D_k - g_k) vtilde_k, g = d(phi + psi) and
+    vtilde_k = P1.v_k - sum_j g_j B_jk.  Returns the verdict, and g and vtilde
+    when both conditions hold (empty lists otherwise).
+    """
+    P1 = P.exp_conjugate(phi, +1)
+    if not P1.v0.is_zero:
+        return SusyVerdict("necessary_condition_failed", failure_witness=P1.v0), [], []
+    space = P.space
+    n = space.n
+    g_poly = phi + psi
+    g = [g_poly.partial(name) for name in space.names]
+    vtilde = list(P1.v)
+    r = Poly.zero(space)
+    for k in range(n):
+        for j in range(n):
+            vtilde[k] = vtilde[k] - g[j] * P.B[j][k]
+        dv = vtilde[k].partial(space.names[k])
+        if P.semiclassical:
+            dv = dv.h_shift(1)
+        r = r - dv + g[k] * vtilde[k]
+    if not r.is_zero:
+        return SusyVerdict("necessary_condition_failed", failure_witness=r), [], []
+    return SusyVerdict("verified"), g, vtilde
+
+
 def check_necessary(P: SecondOrderOperator, phi: Poly, psi: Poly) -> SusyVerdict:
     """The two kernel conditions of the factorization theorem: P must kill the
     Maxwellian e^{-phi/h} and its adjoint must kill e^{-psi/h}."""
-    r1 = P.kernel_test(phi)
-    if not r1.vanishes:
-        return SusyVerdict("necessary_condition_failed", failure_witness=r1.residual)
-    r2 = P.adjoint().kernel_test(psi)
-    if not r2.vanishes:
-        return SusyVerdict("necessary_condition_failed", failure_witness=r2.residual)
-    return SusyVerdict("verified")
+    return _kernel_conditions(P, phi, psi)[0]
 
 
 # ----------------------------------------------------------------- construct
@@ -306,65 +324,31 @@ def construct(P: SecondOrderOperator, phi: Poly, psi: Poly) -> SusyVerdict:
     """Build a supersymmetric structure A = B + C for P with the given
     weights, or report why none was produced.
 
-    Steps: verify the kernel conditions; conjugate by e^{phi/h} so the zero
-    order vanishes; reduce to the weighted divergence equation for the
-    antisymmetric part; solve it (closed-form radial primitive when the
+    Steps: decide both kernel conditions from the one conjugation
+    P1 = e^{phi/h} P e^{-phi/h}, whose v0 is the forward residual and whose
+    drift gives vtilde_k = P1.v_k - sum_j g_j B_jk and the adjoint residual
+    r = -sum_k (D_k - g_k) vtilde_k; solve sum_j (D_j - g_j) C_jk = vtilde_k
+    for the antisymmetric part (closed-form radial primitive when the
     combined weight is constant, exact linear algebra otherwise); re-verify
     the factorization identity exactly.
     """
-    nec = check_necessary(P, phi, psi)
+    nec, g, vtilde = _kernel_conditions(P, phi, psi)
     if nec.status != "verified":
         return nec
     space = P.space
     n = space.n
-    P1 = P.exp_conjugate(phi, +1)
-    g_poly = phi + psi
-    g = [g_poly.partial(name) for name in space.names]
-    vtilde = [P1.v[k] for k in range(n)]
-    for k in range(n):
-        for j in range(n):
-            vtilde[k] = vtilde[k] - g[j] * P.B[j][k]
-
-    # compatibility: sum_k (D_k - g_k) vtilde_k = 0 is forced by the adjoint
-    # kernel condition; a violation signals an internal arithmetic fault
-    compat = Poly.zero(space)
-    for k in range(n):
-        dv = vtilde[k].partial(space.names[k])
-        if P.semiclassical:
-            dv = dv.h_shift(1)
-        compat = compat + dv - g[k] * vtilde[k]
-    if not compat.is_zero:
-        return SusyVerdict("construction_failed", failure_witness=compat)
 
     C: Optional[list[list[Poly]]]
     if all(gj.is_zero for gj in g):
-        # unweighted divergence equation sum_j D_j C_{jk} = vtilde_k
+        # unweighted divergence equation sum_j d_j C_{jk} = vtilde_k (/ h)
         rhs = vtilde
-        if P.semiclassical:
-            try:
+        try:
+            if P.semiclassical:
                 rhs = [p.h_shift(-1) for p in vtilde]
-            except PolyError:
-                return SusyVerdict("construction_failed",
-                                   failure_witness=next(p for p in vtilde if not p.is_zero))
-        if all(p.is_zero for p in rhs):
-            C = zero_matrix(space)
-        else:
-            vfield = Section(space, 1, {(k,): rhs[k] for k in range(n)})
-            try:
-                gamma = homotopy_inverse_delta(vfield)
-            except (PolyError, ExtCalcError):
-                return SusyVerdict("construction_failed",
-                                   failure_witness=next(p for p in rhs if not p.is_zero))
-            C = zero_matrix(space)
-            for (j, k), p in antisym_matrix_from_2vector(gamma).items():
-                C[j][k] = p
-            # matrix convention check: sum_j d_j C_{jk} = rhs_k
-            for k in range(n):
-                acc = Poly.zero(space)
-                for j in range(n):
-                    acc = acc + C[j][k].partial(space.names[j])
-                if not (acc - rhs[k]).is_zero:
-                    return SusyVerdict("construction_failed", failure_witness=acc - rhs[k])
+            C = homotopy_inverse_delta(space, rhs)
+        except (PolyError, ExtCalcError):
+            return SusyVerdict("construction_failed",
+                               failure_witness=next(p for p in rhs if not p.is_zero))
     else:
         C = _weighted_divergence_solve(space, g, vtilde, P.semiclassical)
         if C is None:

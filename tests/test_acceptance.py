@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from susyfact.cli import main as cli_main
-from susyfact.extcalc import Section, delta, homotopy_inverse_delta
+from susyfact.extcalc import homotopy_inverse_delta
 from susyfact.flow import (heteroclinic_gamma1, lyapunov_report, nu_apply,
                            quintic_bound_probe)
 from susyfact.models import (chain_phi0, default_chain_config, kfp_space,
@@ -145,9 +145,9 @@ def test_criterion_5_construction_round_trip(capsys):
         for trial in range(50):
             n = rng.randint(2, 4)
             sp = VarSpace.make(names[:n])
-            # random 2-vector of degree <= 4
-            comps = {}
-            for idx in combinations(range(n), 2):
+            # random antisymmetric G of degree <= 4 and v_k = 1/2 sum_j d_j G_jk
+            G = [[Poly.zero(sp)] * n for _ in range(n)]
+            for j, k in combinations(range(n), 2):
                 terms = {}
                 for _ in range(rng.randint(1, 3)):
                     exps = [0] * n
@@ -156,13 +156,15 @@ def test_criterion_5_construction_round_trip(capsys):
                     if sum(exps) > 4:
                         continue
                     terms[(tuple(exps), 0)] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                comps[idx] = Poly(sp, terms)
-            G = Section(sp, 2, comps)
-            v = delta(G).scale(Fraction(-1, 2))
-            Gp = homotopy_inverse_delta(v)
-            assert delta(Gp) == v.scale(-2)
+                G[j][k] = Poly(sp, terms)
+                G[k][j] = -G[j][k]
+            v = [sum((G[j][k].partial(names[j]) for j in range(n)), Poly.zero(sp))
+                 * Fraction(1, 2) for k in range(n)]
+            C = homotopy_inverse_delta(sp, v)
+            for k in range(n):
+                assert sum((C[j][k].partial(names[j]) for j in range(n)), Poly.zero(sp)) == v[k]
             # the drift operator with this (h-weighted) field factorizes
-            v_op = tuple(v.get((k,)).h_shift(1) for k in range(n))
+            v_op = tuple(vk.h_shift(1) for vk in v)
             P = SecondOrderOperator(sp, identity_matrix(sp), v_op,
                                     Poly.zero(sp), True)
             verdict = construct(P, Poly.zero(sp), Poly.zero(sp))

@@ -31,22 +31,6 @@ def matrices(space: VarSpace, **kw):
 
 # ------------------------------------------------------------------ assembly
 
-def test_structure_sym_antisym_split():
-    sp = VarSpace.make(["x1", "x2"])
-    A = ((Poly.const(sp, 1), parse_poly(sp, "x1")),
-         (parse_poly(sp, "x2"), Poly.const(sp, 2)))
-    s = SusyStructure(A, Poly.zero(sp), Poly.zero(sp))
-    B, C = s.sym_part, s.antisym_part
-    half = Fraction(1, 2)
-    assert B[0][1] == (parse_poly(sp, "x1") + parse_poly(sp, "x2")) * half
-    assert C[0][1] == (parse_poly(sp, "x1") - parse_poly(sp, "x2")) * half
-    for j in range(2):
-        for k in range(2):
-            assert A[j][k] == B[j][k] + C[j][k]
-            assert B[j][k] == B[k][j]
-            assert C[j][k] == -C[k][j]
-
-
 def test_assembled_B_is_symmetric_part():
     sp = VarSpace.make(["x1", "x2"])
     A = ((Poly.const(sp, 1), parse_poly(sp, "x1^2")),
@@ -144,6 +128,23 @@ def test_kernel_verdict_matches_both_kernel_tests(problem):
     assert construct(P, phi, psi) == verdict
 
 
+def test_one_conjugation_per_decision(monkeypatch):
+    # check_necessary and construct each conjugate P by e^{phi/h} once
+    b = reference_bundles()["kfp_harmonic"]
+    calls = []
+    conjugate = SecondOrderOperator.exp_conjugate
+
+    def counted(self, phi, sign=1):
+        calls.append(sign)
+        return conjugate(self, phi, sign)
+    monkeypatch.setattr(SecondOrderOperator, "exp_conjugate", counted)
+    assert check_necessary(b.conjugated, b.phi0, b.phi0).status == "verified"
+    assert calls == [1]
+    calls.clear()
+    assert construct(b.conjugated, b.phi0, b.phi0).status == "constructed"
+    assert calls == [1]
+
+
 # --------------------------------------------------------------- construction
 
 def test_construct_rotation_drift():
@@ -165,7 +166,7 @@ def test_construct_rotation_drift():
 
 def test_construct_propagates_programming_errors(monkeypatch):
     # only the exact-algebra failures mean "no structure"; anything else is a bug
-    def broken(vfield):
+    def broken(space, v):
         raise TypeError("broken")
     monkeypatch.setattr(susy, "homotopy_inverse_delta", broken)
     sp = VarSpace.make(["x1", "x2"])

@@ -340,7 +340,7 @@ def construct(P: SecondOrderOperator, phi: Poly, psi: Poly) -> SusyVerdict:
 
     C: Optional[list[list[Poly]]]
     if all(gj.is_zero for gj in g):
-        # unweighted divergence equation sum_j d_j C_{jk} = vtilde_k (/ h)
+        # unweighted: sum_j D_j C_jk = vtilde_k, so sum_j d_j C_jk = vtilde_k / h when D = h d
         rhs = vtilde
         try:
             if P.semiclassical:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
 from susyfact.opcore import SecondOrderOperator
@@ -16,6 +16,10 @@ NAMES = ("x1", "x2", "x3", "x4")
 # a failing example prints its @reproduce_failure line
 settings.register_profile("susyfact", print_blob=True)
 settings.load_profile("susyfact")
+
+# for properties that call sympy inside the test: a failing example is
+# reported as drawn, because shrinking it with sympy in the loop takes minutes
+SYMPY_PHASES = tuple(p for p in Phase if p is not Phase.shrink)
 
 
 @pytest.fixture(scope="session")

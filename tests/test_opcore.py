@@ -12,7 +12,7 @@ from susyfact.opcore import (OperatorError, SecondOrderOperator, identity_matrix
                              laplacian, matrix_from_entries, zero_matrix)
 from susyfact.polyalg import Poly, VarSpace, parse_poly
 
-from conftest import NAMES, as_sympy, operators, polys
+from conftest import NAMES, SYMPY_PHASES, as_sympy, operators, polys
 
 SP = VarSpace.make(["x1", "x2"])
 
@@ -145,6 +145,21 @@ def _applied(P: SecondOrderOperator, u, sympy):
 
 
 @st.composite
+def _operator_and_operand(draw):
+    P = draw(operators(max_n=3, calculi=(True, False), max_deg=2, max_hpow=1, max_terms=2))
+    return P, draw(polys(P.space, max_deg=3, max_hpow=1, max_terms=3))
+
+
+@given(_operator_and_operand())
+@settings(max_examples=30, deadline=None, phases=SYMPY_PHASES)
+def test_apply_against_sympy(data):
+    sympy = pytest.importorskip("sympy")
+    P, f = data
+    want = _applied(P, as_sympy(f, sympy), sympy)
+    assert sympy.expand(as_sympy(P.apply(f), sympy) - want) == 0
+
+
+@st.composite
 def _operator_and_weight(draw):
     P = draw(operators(max_n=2, calculi=(True, False), max_deg=2, max_hpow=1, max_terms=2))
     return P, draw(polys(P.space, max_deg=3, max_hpow=0, max_terms=3))
@@ -157,7 +172,7 @@ def _weight(P: SecondOrderOperator, phi: Poly, s: int, sympy):
 
 
 @given(_operator_and_weight())
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, phases=SYMPY_PHASES)
 def test_exp_conjugate_against_literal_conjugation(data):
     # e^{s phi/h} ∘ P ∘ e^{-s phi/h} applied to a generic u, both signs
     sympy = pytest.importorskip("sympy")
@@ -170,7 +185,7 @@ def test_exp_conjugate_against_literal_conjugation(data):
 
 
 @given(_operator_and_weight())
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, phases=SYMPY_PHASES)
 def test_kernel_test_against_literal_residual(data):
     # P(e^{-phi/h}) = r e^{-phi/h}, expanded
     sympy = pytest.importorskip("sympy")
@@ -182,7 +197,7 @@ def test_kernel_test_against_literal_residual(data):
 
 
 @given(operators(max_n=3, calculi=(True, False), max_deg=2, max_hpow=1, max_terms=2))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, phases=SYMPY_PHASES)
 def test_adjoint_against_integration_by_parts(P):
     # w P u - u P* w = sum_j D_j J_j with the flux
     # J_j = sum_k B_jk (u D_k w - w D_k u) + v_j u w, for generic u and w

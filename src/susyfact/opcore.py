@@ -29,6 +29,24 @@ class OperatorError(ValueError):
     pass
 
 
+def D(f: Poly, j: int, semiclassical: bool) -> Poly:
+    """D_j f: h d_j f in the semiclassical calculus, d_j f otherwise."""
+    df = f.partial(f.space.names[j])
+    return df.h_shift(1) if semiclassical else df
+
+
+def divergence(space: VarSpace, X: Sequence[Poly], semiclassical: bool,
+               g: Sequence[Poly] | None = None) -> Poly:
+    """The weighted divergence sum_j (D_j - g_j) X_j, or sum_j D_j X_j when g
+    is None."""
+    out = Poly.zero(space)
+    for j, Xj in enumerate(X):
+        out = out + D(Xj, j, semiclassical)
+        if g is not None:
+            out = out - g[j] * Xj
+    return out
+
+
 @dataclass(frozen=True)
 class SecondOrderOperator:
     space: VarSpace

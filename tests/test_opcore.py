@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susyfact.opcore import (OperatorError, SecondOrderOperator, identity_matrix,
-                             laplacian, matrix_from_entries, zero_matrix)
+from susyfact.opcore import (OperatorError, SecondOrderOperator, divergence,
+                             identity_matrix, laplacian, matrix_from_entries,
+                             zero_matrix)
 from susyfact.polyalg import Poly, VarSpace, parse_poly
 
-from conftest import NAMES, SYMPY_PHASES, as_sympy, operators, polys
+from conftest import NAMES, SYMPY_PHASES, as_sympy, operators, polys, spaces
 
 SP = VarSpace.make(["x1", "x2"])
 
@@ -157,6 +158,30 @@ def test_apply_against_sympy(data):
     P, f = data
     want = _applied(P, as_sympy(f, sympy), sympy)
     assert sympy.expand(as_sympy(P.apply(f), sympy) - want) == 0
+
+
+@st.composite
+def _fields(draw):
+    # a field X, a weight g or none, and the calculus
+    sp = draw(spaces(3))
+    X = draw(st.tuples(*[polys(sp, max_deg=3, max_hpow=1, max_terms=3)] * sp.n))
+    g = draw(st.none() | st.tuples(*[polys(sp, max_deg=2, max_hpow=1, max_terms=3)] * sp.n))
+    return sp, X, g, draw(st.booleans())
+
+
+@given(_fields())
+@settings(max_examples=40, deadline=None, phases=SYMPY_PHASES)
+def test_divergence_against_sympy(data):
+    # sum_j (D_j - g_j) X_j, or sum_j D_j X_j without a weight
+    sympy = pytest.importorskip("sympy")
+    sp, X, g, semiclassical = data
+    xs = sympy.symbols(sp.names)
+    hbar = sympy.Symbol("h") if semiclassical else 1
+    want = sum(hbar * sympy.diff(as_sympy(X[j], sympy), xs[j]) for j in range(sp.n))
+    if g is not None:
+        want -= sum(as_sympy(g[j], sympy) * as_sympy(X[j], sympy) for j in range(sp.n))
+    got = divergence(sp, X, semiclassical, g)
+    assert sympy.expand(as_sympy(got, sympy) - want) == 0
 
 
 @st.composite

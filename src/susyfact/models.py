@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .opcore import SecondOrderOperator, zero_matrix
+from .opcore import SecondOrderOperator, divergence, zero_matrix
 from .polyalg import Poly, VarSpace, parse_poly, parse_rational
 from .susy import SusyStructure
 
@@ -59,14 +59,11 @@ def make_witten(V: Poly, gamma=2) -> ModelBundle:
     n = space.n
     gamma = Fraction(gamma)
     B = zero_matrix(space)
-    lap_V = Poly.zero(space)
     v = []
     for j, name in enumerate(space.names):
         B[j][j] = Poly.const(space, gamma / 2)
-        dV = V.partial(name)
-        v.append(dV * (-gamma))
-        lap_V = lap_V + dV.partial(name)
-    v0 = (lap_V * (-gamma)).h_shift(1)
+        v.append(V.partial(name) * (-gamma))
+    v0 = divergence(space, v, True)
     P = SecondOrderOperator(space, tuple(tuple(r) for r in B), tuple(v), v0, True)
     conj = P.exp_conjugate(V, +1)
     A = zero_matrix(space)

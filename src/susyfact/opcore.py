@@ -9,6 +9,11 @@ non-semiclassical one (the `semiclassical` flag records which).  B is exactly
 symmetric and every coefficient is a rational polynomial, possibly carrying a
 finite h-expansion.
 
+The calculus lives in two module functions, and every caller in the package
+takes it from them: `D(f, j, semiclassical)` is D_j f, and
+`divergence(space, X, semiclassical, g)` is the weighted divergence
+sum_j (D_j - g_j) X_j (sum_j D_j X_j without g).
+
 All the structural manipulations used downstream live here: application to a
 polynomial, the formal Lebesgue-L2 adjoint, conjugation by exponential
 weights e^{s phi/h} (which keeps the normal form polynomial), the kernel test
@@ -73,40 +78,25 @@ class SecondOrderOperator:
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "v", tuple(self.v))
 
-    # ------------------------------------------------------------- helpers
-    def _D(self, f: Poly, j: int) -> Poly:
-        df = f.partial(self.space.names[j])
-        return df.h_shift(1) if self.semiclassical else df
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SecondOrderOperator) and self.space == other.space
-                and self.semiclassical == other.semiclassical and self.B == other.B
-                and self.v == other.v and self.v0 == other.v0)
-
     # ---------------------------------------------------------------- apply
     def apply(self, f: Poly) -> Poly:
         if f.space != self.space:
             raise PolyError("operand lives over a different variable space")
         n = self.space.n
+        grad = [D(f, k, self.semiclassical) for k in range(n)]
+        flux = [sum((self.B[j][k] * grad[k] for k in range(n)), Poly.zero(self.space))
+                for j in range(n)]
         out = self.v0 * f
         for j in range(n):
-            out = out + self.v[j] * self._D(f, j)
-            for k in range(n):
-                out = out - self._D(self.B[j][k] * self._D(f, k), j)
-        return out
+            out = out + self.v[j] * grad[j]
+        return out - divergence(self.space, flux, self.semiclassical)
 
     # -------------------------------------------------------------- adjoint
     def adjoint(self) -> "SecondOrderOperator":
         """Formal adjoint with respect to the Lebesgue L2 pairing."""
-        n = self.space.n
-        div_v = Poly.zero(self.space)
-        for j in range(n):
-            div_v = div_v + self.v[j].partial(self.space.names[j])
-        if self.semiclassical:
-            div_v = div_v.h_shift(1)
-        return SecondOrderOperator(self.space, self.B,
-                                   tuple(-vj for vj in self.v),
-                                   self.v0 - div_v, self.semiclassical)
+        return SecondOrderOperator(self.space, self.B, tuple(-vj for vj in self.v),
+                                   self.v0 - divergence(self.space, self.v, self.semiclassical),
+                                   self.semiclassical)
 
     # --------------------------------------------------------- conjugation
     def exp_conjugate(self, phi: Poly, sign: int = 1) -> "SecondOrderOperator":
@@ -115,20 +105,20 @@ class SecondOrderOperator:
         Built from the identity e^{s phi/h} D_j e^{-s phi/h} = D_j - s d_j phi,
         so every coefficient stays polynomial in x and h: with g = s d phi and
         w = B g, v becomes v + 2w and v0 becomes
-        v0 - sum_j (v_j g_j - D_j w_j + g_j w_j).
+        v0 - sum_j v_j g_j + sum_j (D_j - g_j) w_j.
         """
         if sign not in (1, -1):
             raise OperatorError("sign must be +1 or -1")
         if phi.space != self.space:
             raise PolyError("weight lives over a different variable space")
         n = self.space.n
+        zero = Poly.zero(self.space)
         g = [phi.partial(name) * sign for name in self.space.names]
         B = self.B
-        w = [sum((B[j][k] * g[k] for k in range(n)), Poly.zero(self.space)) for j in range(n)]
+        w = [sum((B[j][k] * g[k] for k in range(n)), zero) for j in range(n)]
         v_new = [self.v[j] + 2 * w[j] for j in range(n)]
-        v0_new = self.v0
-        for j in range(n):
-            v0_new = v0_new - (self.v[j] * g[j] - self._D(w[j], j) + g[j] * w[j])
+        v0_new = (self.v0 - sum((self.v[j] * g[j] for j in range(n)), zero)
+                  + divergence(self.space, w, self.semiclassical, g))
         return SecondOrderOperator(self.space, B, tuple(v_new), v0_new, self.semiclassical)
 
     # ---------------------------------------------------------- kernel test

@@ -35,7 +35,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .extcalc import ExtCalcError, homotopy_inverse_delta
-from .opcore import SecondOrderOperator, zero_matrix
+from .opcore import SecondOrderOperator, divergence, zero_matrix
 from .polyalg import Poly, PolyError, VarSpace
 
 
@@ -98,24 +98,17 @@ def assemble_factorization(A: Sequence[Sequence[Poly]], phi: Poly, psi: Poly,
     if len(A) != n or any(len(row) != n for row in A):
         raise SusyError("A must be square over the variable space")
 
-    def D(f: Poly, j: int) -> Poly:
-        df = f.partial(space.names[j])
-        return df.h_shift(1) if semiclassical else df
-
     gphi = [phi.partial(name) for name in space.names]
     gpsi = [psi.partial(name) for name in space.names]
-
+    zero = Poly.zero(space)
     B = [[(A[j][k] + A[k][j]) * Fraction(1, 2) for k in range(n)] for j in range(n)]
-    v = [Poly.zero(space) for _ in range(n)]
-    v0 = Poly.zero(space)
-    for j in range(n):
-        for k in range(n):
-            T_jk = (A[k][j] - A[j][k]) * Fraction(1, 2)
-            v[k] = v[k] - D(T_jk, j)
-            v[j] = v[j] - A[k][j] * gphi[k]
-            v[k] = v[k] + gpsi[j] * A[k][j]
-            v0 = v0 - D(A[k][j] * gphi[k], j)
-            v0 = v0 + gpsi[j] * A[k][j] * gphi[k]
+    # w = A^T d phi, and T_jk = (A_kj - A_jk)/2, the antisymmetric part of A^T
+    w = [sum((A[k][j] * gphi[k] for k in range(n)), zero) for j in range(n)]
+    v = [sum((A[k][j] * gpsi[j] for j in range(n)), zero) - w[k]
+         - divergence(space, [(A[k][j] - A[j][k]) * Fraction(1, 2) for j in range(n)],
+                      semiclassical)
+         for k in range(n)]
+    v0 = -divergence(space, w, semiclassical, gpsi)
     return SecondOrderOperator(space, tuple(tuple(r) for r in B), tuple(v), v0, semiclassical)
 
 
@@ -135,15 +128,9 @@ def _kernel_conditions(P: SecondOrderOperator, phi: Poly, psi: Poly
     n = space.n
     g_poly = phi + psi
     g = [g_poly.partial(name) for name in space.names]
-    vtilde = list(P1.v)
-    r = Poly.zero(space)
-    for k in range(n):
-        for j in range(n):
-            vtilde[k] = vtilde[k] - g[j] * P.B[j][k]
-        dv = vtilde[k].partial(space.names[k])
-        if P.semiclassical:
-            dv = dv.h_shift(1)
-        r = r - dv + g[k] * vtilde[k]
+    vtilde = [P1.v[k] - sum((g[j] * P.B[j][k] for j in range(n)), Poly.zero(space))
+              for k in range(n)]
+    r = -divergence(space, vtilde, P.semiclassical, g)
     if not r.is_zero:
         return SusyVerdict("necessary_condition_failed", failure_witness=r), [], []
     return SusyVerdict("verified"), g, vtilde
@@ -249,7 +236,7 @@ def _weighted_divergence_solve(space: VarSpace, g: list[Poly], vtilde: list[Poly
     Bounded-degree ansatz, grown over a short ladder of degree caps; each
     candidate system is solved exactly over the rationals.  The system is
     written from the monomial rule for the image of each unknown; the
-    solution is re-checked through the Poly-level operator `L`.
+    solution is re-checked with `opcore.divergence`.
     """
     n = space.n
     deg_v = max((p.total_degree() for p in vtilde), default=0)
@@ -260,26 +247,11 @@ def _weighted_divergence_solve(space: VarSpace, g: list[Poly], vtilde: list[Poly
     dh = 1 if semiclassical else 0
     g_terms = [list(gj.terms.items()) for gj in g]
 
-    def L(C: dict[tuple[int, int], Poly]) -> list[Poly]:
-        out = [Poly.zero(space) for _ in range(n)]
-        for k in range(n):
-            for j in range(n):
-                if j == k:
-                    continue
-                a, b = (j, k) if j < k else (k, j)
-                Cjk = C.get((a, b), Poly.zero(space))
-                if j > k:
-                    Cjk = -Cjk
-                dC = Cjk.partial(space.names[j])
-                if semiclassical:
-                    dC = dC.h_shift(1)
-                out[k] = out[k] + dC - g[j] * Cjk
-        return out
-
     def image(a: int, b: int, exps: tuple[int, ...], hp: int) -> dict:
-        """L of the unknown C_ab = x^exps h^hp (C_ba = -C_ab), as
-        {(k, term key): coefficient} with zero sums dropped: (D_a - g_a)
-        of it lands in equation b, and (D_b - g_b) of it, negated, in a."""
+        """The weighted divergence of the unknown C_ab = x^exps h^hp
+        (C_ba = -C_ab), as {(k, term key): coefficient} with zero sums
+        dropped: (D_a - g_a) of it lands in equation b, and (D_b - g_b) of
+        it, negated, in a."""
         out = {}
         for k, j, sign in ((b, a, 1), (a, b, -1)):
             eq: dict = {}
@@ -292,8 +264,8 @@ def _weighted_divergence_solve(space: VarSpace, g: list[Poly], vtilde: list[Poly
             out.update(((k, key), c) for key, c in eq.items() if c)
         return out
 
-    for D in ladder:
-        basis = _monomial_basis(space, D, hmax)
+    for cap in ladder:
+        basis = _monomial_basis(space, cap, hmax)
         unknowns = [(pair, key) for pair in pairs for key in basis]
         eq_rows: dict[tuple[int, tuple], dict[int, Fraction]] = {
             (k, tk): {} for k in range(n) for tk in vtilde[k].terms}
@@ -314,8 +286,8 @@ def _weighted_divergence_solve(space: VarSpace, g: list[Poly], vtilde: list[Poly
         for (j, k), t in terms.items():
             C[j][k] = Poly(space, t)
             C[k][j] = -C[j][k]
-        check = L({pair: C[pair[0]][pair[1]] for pair in pairs})
-        if all((chk - vt).is_zero for chk, vt in zip(check, vtilde)):
+        if all(divergence(space, [C[j][k] for j in range(n)], semiclassical, g) == vtilde[k]
+               for k in range(n)):
             return C
     return None
 

@@ -200,21 +200,39 @@ class SecondOrderOperator:
 
     @staticmethod
     def from_json_dict(data: dict) -> "SecondOrderOperator":
+        """Read a spec written by `to_json_dict`.  Entries of B at the same
+        position add up; an index that is not a JSON integer naming a
+        variable, a second v entry for one variable and a `semiclassical`
+        that is not a JSON boolean are refused."""
         space = VarSpace.from_json_dict(data)
         n = space.n
-        B = [[Poly.zero(space) for _ in range(n)] for _ in range(n)]
+
+        def index(item: dict, key: str) -> int:
+            i = item[key]
+            if type(i) is not int or not 0 <= i < n:
+                raise OperatorError(f"{key} = {i!r} is not the index of one of the {n} variables")
+            return i
+
+        B = zero_matrix(space)
         for item in data.get("B", []):
-            j, k = int(item["i"]), int(item["j"])
+            j, k = index(item, "i"), index(item, "j")
             p = Poly.from_literal(space, item["poly"])
             B[j][k] = B[j][k] + p
             if j != k:
                 B[k][j] = B[k][j] + p
-        v = [Poly.zero(space) for _ in range(n)]
+        v: list[Poly | None] = [None] * n
         for item in data.get("v", []):
-            v[int(item["i"])] = Poly.from_literal(space, item["poly"])
+            i = index(item, "i")
+            if v[i] is not None:
+                raise OperatorError(f"v has two entries for i = {i}")
+            v[i] = Poly.from_literal(space, item["poly"])
         v0 = Poly.from_literal(space, data.get("v0", []))
-        return SecondOrderOperator(space, tuple(tuple(r) for r in B), tuple(v), v0,
-                                   bool(data.get("semiclassical", True)))
+        semiclassical = data.get("semiclassical", True)
+        if type(semiclassical) is not bool:
+            raise OperatorError(f"semiclassical = {semiclassical!r} is not a JSON boolean")
+        return SecondOrderOperator(space, tuple(tuple(r) for r in B),
+                                   tuple(Poly.zero(space) if p is None else p for p in v),
+                                   v0, semiclassical)
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,33 @@ def test_construct_zero_variable_operator(tmp_path, capsys):
                               "structure": {"A": [], "phi": [], "psi": []}}
 
 
+SPEC = {"variables": ["x1", "x2"], "semiclassical": True,
+        "B": [{"i": 0, "j": 0, "poly": [{"coeff": "1/1", "exps": [0, 0], "hpow": 0}]}],
+        "v": [{"i": 0, "poly": [{"coeff": "-2/1", "exps": [1, 0], "hpow": 0}]}],
+        "v0": []}
+X2 = [{"coeff": "1/1", "exps": [0, 1], "hpow": 0}]
+
+
+@pytest.mark.parametrize("changes", [
+    {"B": [{"i": 0, "j": 5, "poly": X2}]},
+    {"B": [{"i": -1, "j": 0, "poly": X2}]},
+    {"v": [{"i": 7, "poly": X2}]},
+    {"v": [{"i": -1, "poly": X2}]},
+    {"v": [{"i": True, "poly": X2}]},
+    {"v": [{"i": 1.5, "poly": X2}]},
+    {"v": [{"i": 1, "poly": X2}, {"i": 1, "poly": X2}]},
+    {"semiclassical": "false"},
+    {"semiclassical": 0},
+], ids=["B-j-past-end", "B-i-negative", "v-i-past-end", "v-i-negative", "v-i-bool",
+        "v-i-float", "v-i-repeated", "semiclassical-string", "semiclassical-int"])
+def test_operator_spec_refused(tmp_path, capsys, changes):
+    # a spec the loader cannot read as written is a usage error, not an operator
+    spec = tmp_path / "op.json"
+    spec.write_text(json.dumps(dict(SPEC, **changes)))
+    rc, rep = run(capsys, "check", "--operator", str(spec))
+    assert rc == EXIT_USAGE and rep is None
+
+
 def test_verify_models(capsys):
     rc, rep = run(capsys, "verify-models")
     assert rc == EXIT_OK

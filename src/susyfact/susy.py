@@ -102,7 +102,7 @@ def assemble_factorization(A: Sequence[Sequence[Poly]], phi: Poly, psi: Poly,
     gpsi = [psi.partial(name) for name in space.names]
     zero = Poly.zero(space)
     B = [[(A[j][k] + A[k][j]) * Fraction(1, 2) for k in range(n)] for j in range(n)]
-    # w = A^T d phi, and T_jk = (A_kj - A_jk)/2, the antisymmetric part of A^T
+    # w = A^T d phi; column k of T = (A^T - A)/2 enters v_k through its divergence
     w = [sum((A[k][j] * gphi[k] for k in range(n)), zero) for j in range(n)]
     v = [sum((A[k][j] * gpsi[j] for j in range(n)), zero) - w[k]
          - divergence(space, [(A[k][j] - A[j][k]) * Fraction(1, 2) for j in range(n)],

@@ -201,9 +201,13 @@ class SecondOrderOperator:
     @staticmethod
     def from_json_dict(data: dict) -> "SecondOrderOperator":
         """Read a spec written by `to_json_dict`.  Entries of B at the same
-        position add up; an index that is not a JSON integer naming a
-        variable, a second v entry for one variable and a `semiclassical`
-        that is not a JSON boolean are refused."""
+        position add up; `variables` that are not a JSON list of names, an
+        index that is not a JSON integer naming a variable, a second v entry
+        for one variable and a `semiclassical` that is not a JSON boolean are
+        refused."""
+        names = data["variables"]
+        if type(names) is not list or any(type(name) is not str for name in names):
+            raise OperatorError(f"variables = {names!r} is not a JSON list of names")
         space = VarSpace.from_json_dict(data)
         n = space.n
 

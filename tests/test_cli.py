@@ -129,6 +129,7 @@ X2 = [{"coeff": "1/1", "exps": [0, 1], "hpow": 0}]
 
 
 @pytest.mark.parametrize("changes", [
+    {"variables": "x1"},
     {"B": [{"i": 0, "j": 5, "poly": X2}]},
     {"B": [{"i": -1, "j": 0, "poly": X2}]},
     {"v": [{"i": 7, "poly": X2}]},
@@ -138,8 +139,8 @@ X2 = [{"coeff": "1/1", "exps": [0, 1], "hpow": 0}]
     {"v": [{"i": 1, "poly": X2}, {"i": 1, "poly": X2}]},
     {"semiclassical": "false"},
     {"semiclassical": 0},
-], ids=["B-j-past-end", "B-i-negative", "v-i-past-end", "v-i-negative", "v-i-bool",
-        "v-i-float", "v-i-repeated", "semiclassical-string", "semiclassical-int"])
+], ids=["variables-string", "B-j-past-end", "B-i-negative", "v-i-past-end", "v-i-negative",
+        "v-i-bool", "v-i-float", "v-i-repeated", "semiclassical-string", "semiclassical-int"])
 def test_operator_spec_refused(tmp_path, capsys, changes):
     # a spec the loader cannot read as written is a usage error, not an operator
     spec = tmp_path / "op.json"

@@ -9,10 +9,10 @@ non-semiclassical one (the `semiclassical` flag records which).  B is exactly
 symmetric and every coefficient is a rational polynomial, possibly carrying a
 finite h-expansion.
 
-The calculus lives in two module functions, and every caller in the package
-takes it from them: `D(f, j, semiclassical)` is D_j f, and
-`divergence(space, X, semiclassical, g)` is the weighted divergence
-sum_j (D_j - g_j) X_j (sum_j D_j X_j without g).
+The calculus lives in two module functions: `D(f, j, semiclassical)` is
+D_j f, and `divergence(space, X, semiclassical, g)` is the weighted
+divergence sum_j (D_j - g_j) X_j (sum_j D_j X_j without g).  The operator
+methods below, `susy` and `models` are built on them.
 
 All the structural manipulations used downstream live here: application to a
 polynomial, the formal Lebesgue-L2 adjoint, conjugation by exponential

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,9 +13,12 @@ from scipy.integrate import solve_ivp
 
 from susyfact import obstruction as ob
 from susyfact.flow import gamma1_interpolant, heteroclinic_gamma1, nu_apply
-from susyfact.models import ChainConfig, chain_phi0, default_chain_config, hamiltonian_p
+from susyfact.models import (ChainConfig, chain_phi0, chain_var, default_chain_config,
+                             hamiltonian_p)
 from susyfact.polyalg import Poly, parse_poly
 from susyfact.spectral import eigenvector, linearization_N
+
+from conftest import as_sympy
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +96,89 @@ def test_eq17_reduction(cfg):
     expect = cfg.deltaW.partial("x2") * Poly.var(sp, "y2") * scale
     assert reduced == expect
     assert reduced == parse_poly(sp, "-3/10*x1*x2^2*y2")
+
+
+# Chain configs for the sympy oracles: n = 1 and 2, gamma != 1, equal and
+# unequal temperatures, deltaW zero and nonzero.
+PSI_CONFIGS = {
+    "n1-unequal": {"n": 1, "W1": "1/4*x1^4 - 1/2*x1^2 + 1/4", "W2": "1/2*x2^2",
+                   "deltaW": "1/10*x1*x2^3", "alpha1": "1", "alpha2": "2", "gamma": "2"},
+    "n1-equal": {"n": 1, "W1": "1/3*x1^4 - x1^2", "W2": "3/2*x2^2",
+                 "deltaW": "1/10*x1*x2^3 - 1/7*x1^2*x2", "alpha1": "3/2", "alpha2": "3/2",
+                 "gamma": "3/2"},
+    "n1-decoupled": {"n": 1, "W1": "x1^4 - 2*x1^2", "W2": "1/2*x2^2", "deltaW": "0",
+                     "alpha1": "1", "alpha2": "3", "gamma": "2"},
+    "n2-unequal": {"n": 2, "W1": "1/4*x1_1^4 - 1/2*x1_1^2 + x1_1*x1_2 + 1/2*x1_2^2",
+                   "W2": "1/2*x2_1^2 + 1/3*x2_1*x2_2 + x2_2^2",
+                   "deltaW": "1/10*x1_1*x2_1^3 + 1/5*x1_2*x2_1*x2_2",
+                   "alpha1": "1", "alpha2": "5/2", "gamma": "2"},
+    "n2-equal": {"n": 2, "W1": "x1_1^4 - x1_1*x1_2^2", "W2": "x2_1^2 + x2_2^2",
+                 "deltaW": "x1_1*x1_2*x2_2^2", "alpha1": "2", "alpha2": "2", "gamma": "1/2"},
+    "n2-decoupled": {"n": 2, "W1": "1/2*x1_1^2 + x1_2^4", "W2": "2*x2_1^2 + x2_2^2",
+                     "deltaW": "0", "alpha1": "1/3", "alpha2": "1", "gamma": "3"},
+}
+
+
+def _chain_sympy(cfg, sympy):
+    """Per oscillator coordinate: (x, y, z, alpha) as sympy data, plus W0
+    and deltaW as sympy expressions."""
+    sym = lambda name: sympy.Symbol(name)
+    rows = [tuple(sym(chain_var(cfg.space, kind, j, i)) for kind in "xyz")
+            + (sympy.Rational(alpha.numerator, alpha.denominator),)
+            for j, alpha in enumerate(cfg.alphas, start=1) for i in range(cfg.n)]
+    return rows, as_sympy(cfg.W0(), sympy), as_sympy(cfg.deltaW, sympy)
+
+
+def _random_h_free_poly(space, rng: random.Random) -> Poly:
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        exps = [0] * space.n
+        for _ in range(rng.randint(0, 3)):
+            exps[rng.randrange(space.n)] += 1
+        terms[(tuple(exps), 0)] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    return Poly(space, terms)
+
+
+@pytest.mark.parametrize("name", sorted(PSI_CONFIGS))
+def test_hamiltonian_p_against_sympy(name):
+    # the docstring formula of hamiltonian_p, written out over (w, w')
+    sympy = pytest.importorskip("sympy")
+    c = ChainConfig.from_json_dict(PSI_CONFIGS[name])
+    rows, W0, dW = _chain_sympy(c, sympy)
+    gamma = sympy.Rational(c.gamma.numerator, c.gamma.denominator)
+    dual = lambda s: sympy.Symbol(s.name + "'")
+    expect = 0
+    for x, y, z, alpha in rows:
+        xi, eta, zeta = dual(x), dual(y), dual(z)
+        dWx = sympy.diff(dW, x)
+        expect += (y * xi + gamma * (z - x) * zeta - (sympy.diff(W0, x) + x - z) * eta
+                   + gamma / 2 * alpha * zeta ** 2 - dWx * eta - 2 * dWx * y / alpha)
+    p, phase = hamiltonian_p(c)
+    assert phase == c.space.with_duals()
+    assert sympy.expand(as_sympy(p, sympy) - expect) == 0
+
+
+@pytest.mark.parametrize("name", sorted(PSI_CONFIGS))
+def test_full_residual_against_psi_equation(name):
+    # (*) of the obstruction docstring with nu written out:
+    # nu psi + (gamma/2) sum alpha_j (d_z psi)^2 - d_x deltaW . d_y psi
+    #   - 2 d_x deltaW . y / alpha
+    sympy = pytest.importorskip("sympy")
+    c = ChainConfig.from_json_dict(PSI_CONFIGS[name])
+    rows, W0, dW = _chain_sympy(c, sympy)
+    gamma = sympy.Rational(c.gamma.numerator, c.gamma.denominator)
+    rng = random.Random(13)
+    for _ in range(4):
+        psi = _random_h_free_poly(c.space, rng)
+        u = as_sympy(psi, sympy)
+        expect = 0
+        for x, y, z, alpha in rows:
+            dWx = sympy.diff(dW, x)
+            expect += (y * sympy.diff(u, x) - (sympy.diff(W0, x) + x - z) * sympy.diff(u, y)
+                       + gamma * (z - x) * sympy.diff(u, z)
+                       + gamma / 2 * alpha * sympy.diff(u, z) ** 2
+                       - dWx * sympy.diff(u, y) - 2 * dWx * y / alpha)
+        assert sympy.expand(as_sympy(ob.full_residual(c, psi), sympy) - expect) == 0, psi
 
 
 def test_vanishing_hierarchy():

@@ -48,9 +48,7 @@ def nu_components(cfg: ChainConfig) -> list[Poly]:
     comps = [Poly.zero(space) for _ in range(space.n)]
     for j in range(1, 3):
         for i in range(cfg.n):
-            xn = chain_var(space, "x", j, i)
-            yn = chain_var(space, "y", j, i)
-            zn = chain_var(space, "z", j, i)
+            xn, yn, zn = (chain_var(space, kind, j, i) for kind in "xyz")
             x, y, z = (Poly.var(space, nm) for nm in (xn, yn, zn))
             comps[space.index(xn)] = y
             comps[space.index(yn)] = -(W0.partial(xn) + x - z)
@@ -161,7 +159,7 @@ def _saddle_and_targets(cfg: ChainConfig) -> tuple[np.ndarray, np.ndarray, float
     x1 = chain_var(space, "x", 1)
     ix1 = space.index(x1)
     w1p = cfg.W1.partial(x1)
-    if not w1p.is_h_free() or w1p.degree_in([x1]) == 0:
+    if w1p.degree_in([x1]) == 0:
         raise UnsupportedConfig("the heteroclinic construction needs an h-free W1 whose "
                                 "derivative is not constant")
     w1pp = w1p.partial(x1)

@@ -151,25 +151,21 @@ class ChainConfig:
     gamma: Fraction
 
     def __post_init__(self):
-        for name, val in (("alpha1", self.alpha1), ("alpha2", self.alpha2),
-                          ("gamma", self.gamma)):
-            if Fraction(val) <= 0:
+        for name in ("alpha1", "alpha2", "gamma"):
+            val = Fraction(getattr(self, name))
+            if val <= 0:
                 raise ModelError(f"{name} must be positive")
-        object.__setattr__(self, "alpha1", Fraction(self.alpha1))
-        object.__setattr__(self, "alpha2", Fraction(self.alpha2))
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
+            object.__setattr__(self, name, val)
         space = self.space
         x1 = [chain_var(space, "x", 1, i) for i in range(self.n)]
         x2 = [chain_var(space, "x", 2, i) for i in range(self.n)]
-        others = [v for v in space.names if v not in x1]
-        if self.W1.involves(others):
-            raise ModelError("W1 must depend on the first position block only")
-        others = [v for v in space.names if v not in x2]
-        if self.W2.involves(others):
-            raise ModelError("W2 must depend on the second position block only")
-        others = [v for v in space.names if v not in x1 + x2]
-        if self.deltaW.involves(others):
-            raise ModelError("deltaW must depend on positions only")
+        for name, W, block, where in (("W1", self.W1, x1, "the first position block"),
+                                      ("W2", self.W2, x2, "the second position block"),
+                                      ("deltaW", self.deltaW, x1 + x2, "positions")):
+            if W.involves([v for v in space.names if v not in block]):
+                raise ModelError(f"{name} must depend on {where} only")
+            if not W.is_h_free():
+                raise ModelError(f"{name} must be h-free: the leading symbol sees no h-terms")
         _check_positive_quadratic(self.W2, x2)
 
     @property
@@ -188,7 +184,11 @@ class ChainConfig:
 
     @staticmethod
     def from_json_dict(data: dict) -> "ChainConfig":
-        n = int(data.get("n", 1))
+        if type(data) is not dict:
+            raise ModelError("a chain config is a JSON object")
+        n = data.get("n", 1)
+        if type(n) is not int or n < 1:
+            raise ModelError(f"n = {n!r} is not a positive JSON integer")
         space = chain_space(n)
 
         def poly(key):
@@ -289,10 +289,8 @@ def make_chain(cfg: ChainConfig) -> ModelBundle:
     v = [Poly.zero(space) for _ in range(space.n)]
     for j, alpha in enumerate(cfg.alphas, start=1):
         for i in range(cfg.n):
-            xn = chain_var(space, "x", j, i)
-            yn = chain_var(space, "y", j, i)
-            zn = chain_var(space, "z", j, i)
-            ix, iy, iz = space.index(xn), space.index(yn), space.index(zn)
+            xn, yn, zn = (chain_var(space, kind, j, i) for kind in "xyz")
+            ix, iy, iz = map(space.index, (xn, yn, zn))
             x, y, z = (Poly.var(space, nm) for nm in (xn, yn, zn))
             B[iz][iz] = Poly.const(space, cfg.gamma * alpha / 2)
             v[ix] = y
@@ -311,9 +309,7 @@ def make_chain(cfg: ChainConfig) -> ModelBundle:
         A = zero_matrix(space)
         for j, alpha in enumerate(cfg.alphas, start=1):
             for i in range(cfg.n):
-                ix = space.index(chain_var(space, "x", j, i))
-                iy = space.index(chain_var(space, "y", j, i))
-                iz = space.index(chain_var(space, "z", j, i))
+                ix, iy, iz = (space.index(chain_var(space, kind, j, i)) for kind in "xyz")
                 A[ix][iy] = Poly.const(space, alpha / 2)
                 A[iy][ix] = Poly.const(space, -alpha / 2)
                 A[iz][iz] = Poly.const(space, cfg.gamma * alpha / 2)
@@ -328,25 +324,10 @@ def hamiltonian_p(cfg: ChainConfig) -> tuple[Poly, VarSpace]:
             + (gamma/2) sum_j alpha_j zeta_j^2
             - d_x deltaW . eta - 2 sum_j d_{x_j} deltaW . y_j / alpha_j,
 
-    over the doubled space (w, w') with w'_j dual to w_j."""
-    space = cfg.space
-    phase = space.with_duals()
-    W0 = cfg.W0().lift(phase)
-    dW = cfg.deltaW.lift(phase)
-    p = Poly.zero(phase)
-    for j, alpha in enumerate(cfg.alphas, start=1):
-        for i in range(cfg.n):
-            xn = chain_var(space, "x", j, i)
-            yn = chain_var(space, "y", j, i)
-            zn = chain_var(space, "z", j, i)
-            x, y, z = (Poly.var(phase, nm) for nm in (xn, yn, zn))
-            xi, eta, zeta = (Poly.var(phase, nm + "'") for nm in (xn, yn, zn))
-            p = p + y * xi + cfg.gamma * (z - x) * zeta
-            p = p - (W0.partial(xn) + x - z) * eta
-            p = p + Fraction(cfg.gamma * alpha, 2) * zeta * zeta
-            p = p - dW.partial(xn) * eta
-            p = p - 2 * (1 / alpha) * dW.partial(xn) * y
-    return p, phase
+    over the doubled space (w, w') with w'_j dual to w_j: the symbol q of
+    e^{2 phi0/h} P e^{-2 phi0/h}, for P the chain operator and phi0 =
+    chain_phi0(cfg)."""
+    return make_chain(cfg).operator.exp_conjugate(2 * chain_phi0(cfg)).symbols()[2:]
 
 
 # -------------------------------------------------------- bundled instances

@@ -5,6 +5,8 @@ Writing the eikonal weight as phi = phi0 + psi, psi solves
     nu psi + (gamma/2) sum_j alpha_j (d_{z_j} psi)^2 - d_x deltaW . d_y psi
         = 2 d_x deltaW . d_y phi0.                                   (*)
 
+(*) is the chain operator's eikonal equation at 2 phi0 + psi (`full_residual`).
+
 For deltaW homogeneous of degree m >= 3 in x_2, grading psi by homogeneity in
 the second block w_2 = (x_2, y_2, z_2) decouples (*) into a hierarchy: the
 components of degree < m vanish (a Riccati step at degree 2, then linear
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -37,7 +38,8 @@ import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401
 
 from . import flow, spectral
-from .models import ChainConfig, UnsupportedConfig, chain_var, hamiltonian_p
+from .models import (ChainConfig, UnsupportedConfig, chain_phi0, chain_var, hamiltonian_p,
+                     make_chain)
 from .polyalg import Poly
 
 
@@ -76,29 +78,10 @@ BUMP = Bump(0.3, 0.7)
 
 # --------------------------------------------------------- graded hierarchy
 
-def rhs_full(cfg: ChainConfig) -> Poly:
-    """2 d_x deltaW . d_y phi0 (using d_{y_j} phi0 = y_j / alpha_j)."""
-    space = cfg.space
-    out = Poly.zero(space)
-    for j, alpha in enumerate(cfg.alphas, start=1):
-        for i in range(cfg.n):
-            xn = chain_var(space, "x", j, i)
-            y = Poly.var(space, chain_var(space, "y", j, i))
-            out = out + 2 * (1 / alpha) * cfg.deltaW.partial(xn) * y
-    return out
-
-
 def full_residual(cfg: ChainConfig, psi: Poly) -> Poly:
-    """Left minus right side of the psi-equation, exactly."""
-    space = cfg.space
-    out = flow.nu_apply(cfg, psi)
-    for j, alpha in enumerate(cfg.alphas, start=1):
-        for i in range(cfg.n):
-            dz = psi.partial(chain_var(space, "z", j, i))
-            out = out + Fraction(cfg.gamma * alpha, 2) * dz * dz
-            dx = cfg.deltaW.partial(chain_var(space, "x", j, i))
-            out = out - dx * psi.partial(chain_var(space, "y", j, i))
-    return out - rhs_full(cfg)
+    """Left minus right side of the psi-equation (*), exactly: the eikonal
+    residual of the chain operator at 2 phi0 + psi, for h-free psi."""
+    return make_chain(cfg).operator.eikonal_residual(2 * chain_phi0(cfg) + psi)
 
 
 def _deltaw_degree(cfg: ChainConfig) -> int:
@@ -141,8 +124,9 @@ def graded_residual(cfg: ChainConfig, psi_components: Mapping[int, Poly]) -> dic
 def eq17_reduction(cfg: ChainConfig) -> Poly:
     """The substitution psi_m = (2/alpha_1) deltaW + u turns the degree-m
     transport equation into nu(u) = (2/alpha_2 - 2/alpha_1) y2 . d_{x2} deltaW;
-    returns the reduced right side, computed as RHS - nu((2/alpha_1) deltaW)."""
-    return rhs_full(cfg) - flow.nu_apply(cfg, 2 * (1 / cfg.alpha1) * cfg.deltaW)
+    returns the reduced right side, minus the residual of (2/alpha_1) deltaW,
+    whose d_y and d_z vanish."""
+    return -full_residual(cfg, 2 * (1 / cfg.alpha1) * cfg.deltaW)
 
 
 # ------------------------------------------------------------ eigencoords

@@ -18,7 +18,9 @@ All the structural manipulations used downstream live here: application to a
 polynomial, the formal Lebesgue-L2 adjoint, conjugation by exponential
 weights e^{s phi/h} (which keeps the normal form polynomial), the kernel test
 P(e^{-phi/h}) = 0 as an exact h-graded identity, leading semiclassical
-symbols, and the two eikonal residuals.
+symbols, and the eikonal residual; `models.hamiltonian_p` and
+`obstruction.full_residual` take the chain's Hamiltonian and psi-equation
+from the last two.
 """
 
 from __future__ import annotations
@@ -131,6 +133,17 @@ class SecondOrderOperator:
         return KernelTestReport(r, False, min(h for (_, h) in r.terms))
 
     # -------------------------------------------------------------- symbols
+    def _leading(self, target: VarSpace, xi: Sequence[Poly]) -> tuple[Poly, Poly, Poly]:
+        """(sum B0_{jk} xi_j xi_k, sum v0_j xi_j, v00) over `target`, from the
+        h^0 parts of the coefficients."""
+        lead = lambda p: p.h0().lift(target)
+        quad = lin = Poly.zero(target)
+        for j, xj in enumerate(xi):
+            lin = lin + lead(self.v[j]) * xj
+            for k, xk in enumerate(xi):
+                quad = quad + lead(self.B[j][k]) * xj * xk
+        return quad, lin, lead(self.v0)
+
     def symbols(self) -> tuple[Poly, Poly, Poly, VarSpace]:
         """Leading semiclassical symbols.
 
@@ -143,45 +156,21 @@ class SecondOrderOperator:
         using the h^0 parts of the coefficients.  q is real by construction.
         """
         phase = self.space.with_duals()
-        n = self.space.n
-        xi = [Poly.var(phase, name + "'") for name in self.space.names]
-        B0 = [[self.B[j][k].h0().lift(phase) for k in range(n)] for j in range(n)]
-        v0_ = [self.v[j].h0().lift(phase) for j in range(n)]
-        c0 = self.v0.h0().lift(phase)
-        quad = Poly.zero(phase)
-        lin = Poly.zero(phase)
-        for j in range(n):
-            lin = lin + v0_[j] * xi[j]
-            for k in range(n):
-                quad = quad + B0[j][k] * xi[j] * xi[k]
-        p_re = quad + c0
-        p_im = lin
-        q = quad + lin - c0
-        return p_re, p_im, q, phase
+        quad, lin, c0 = self._leading(phase, [Poly.var(phase, name + "'")
+                                              for name in self.space.names])
+        return quad + c0, lin, quad + lin - c0, phase
 
     # ------------------------------------------------------------- eikonal
-    def eikonal_residual(self, phi0: Poly, which: str = "forward") -> Poly:
-        """Residual of the eikonal equation for the h-free leading weight.
-
-        forward:  sum B0 d phi0 d phi0 + sum v0 d phi0 - v00
-        adjoint: -sum B0 d psi0 d psi0 + sum v0 d psi0 + v00
-        """
+    def eikonal_residual(self, phi0: Poly) -> Poly:
+        """Residual sum B0 d phi0 d phi0 + sum v0 d phi0 - v00 of the eikonal
+        equation for the h-free leading weight phi0: the symbol q at
+        Xi = d phi0.  The adjoint form -sum B0 d psi0 d psi0 + sum v0 d psi0
+        + v00 is exactly -eikonal_residual(-psi0)."""
         if not phi0.is_h_free():
             raise OperatorError("eikonal weight must be h-free")
-        if which not in ("forward", "adjoint"):
-            raise OperatorError("which must be 'forward' or 'adjoint'")
-        n = self.space.n
-        grad = [phi0.partial(name) for name in self.space.names]
-        quad = Poly.zero(self.space)
-        lin = Poly.zero(self.space)
-        for j in range(n):
-            lin = lin + self.v[j].h0() * grad[j]
-            for k in range(n):
-                quad = quad + self.B[j][k].h0() * grad[j] * grad[k]
-        c0 = self.v0.h0()
-        if which == "forward":
-            return quad + lin - c0
-        return -quad + lin + c0
+        quad, lin, c0 = self._leading(self.space, [phi0.partial(name)
+                                                   for name in self.space.names])
+        return quad + lin - c0
 
     # -------------------------------------------------------- serialization
     def to_json_dict(self) -> dict:
@@ -201,10 +190,17 @@ class SecondOrderOperator:
     @staticmethod
     def from_json_dict(data: dict) -> "SecondOrderOperator":
         """Read a spec written by `to_json_dict`.  Entries of B at the same
-        position add up; `variables` that are not a JSON list of names, an
-        index that is not a JSON integer naming a variable, a second v entry
-        for one variable and a `semiclassical` that is not a JSON boolean are
-        refused."""
+        position add up; a spec that is not a JSON object, `variables` that
+        are not a JSON list of names, a `B` or `v` that is not a list of
+        objects, an index that is not a JSON integer naming a variable, a
+        second v entry for one variable and a `semiclassical` that is not a
+        JSON boolean are refused."""
+        if type(data) is not dict:
+            raise OperatorError("an operator spec is a JSON object")
+        for key in ("B", "v"):
+            items = data.get(key, [])
+            if type(items) is not list or any(type(t) is not dict for t in items):
+                raise OperatorError(f"{key} = {items!r} is not a JSON list of objects")
         names = data["variables"]
         if type(names) is not list or any(type(name) is not str for name in names):
             raise OperatorError(f"variables = {names!r} is not a JSON list of names")

@@ -330,10 +330,16 @@ class Poly:
 
     @staticmethod
     def from_literal(space: VarSpace, data: list[dict]) -> "Poly":
+        """Read the term list written by `to_literal`; a literal of any other
+        JSON shape is refused."""
+        if type(data) is not list or not all(
+                type(t) is dict and type(t.get("exps")) is list and type(t.get("hpow", 0)) is int
+                and all(type(e) is int for e in t["exps"]) for t in data):
+            raise PolyError(f"{data!r} is not a JSON list of terms with integer exps and hpow")
         terms: dict[tuple[tuple[int, ...], int], Fraction] = {}
         for item in data:
             c = parse_rational(item["coeff"])
-            key = (tuple(int(e) for e in item["exps"]), int(item.get("hpow", 0)))
+            key = (tuple(item["exps"]), item.get("hpow", 0))
             terms[key] = terms.get(key, Fraction(0)) + c
         return Poly(space, terms)
 

@@ -139,14 +139,55 @@ X2 = [{"coeff": "1/1", "exps": [0, 1], "hpow": 0}]
     {"v": [{"i": 1, "poly": X2}, {"i": 1, "poly": X2}]},
     {"semiclassical": "false"},
     {"semiclassical": 0},
+    {"B": {"i": 0, "j": 0, "poly": X2}},
+    {"B": [[0, 0, X2]]},
+    {"v": [{"i": 0, "poly": 3}]},
+    {"v": [{"i": 0, "poly": [{"coeff": "1", "exps": [0, 1.5]}]}]},
+    {"v": [{"i": 0, "poly": [{"coeff": "1", "exps": [0, 1], "hpow": "1"}]}]},
+    {"v0": 5},
+    {"v0": [["1/1", [0, 0], 0]]},
 ], ids=["variables-string", "B-j-past-end", "B-i-negative", "v-i-past-end", "v-i-negative",
-        "v-i-bool", "v-i-float", "v-i-repeated", "semiclassical-string", "semiclassical-int"])
+        "v-i-bool", "v-i-float", "v-i-repeated", "semiclassical-string", "semiclassical-int",
+        "B-object", "B-entry-list", "poly-number", "exps-float", "hpow-string", "v0-number",
+        "v0-term-list"])
 def test_operator_spec_refused(tmp_path, capsys, changes):
     # a spec the loader cannot read as written is a usage error, not an operator
     spec = tmp_path / "op.json"
     spec.write_text(json.dumps(dict(SPEC, **changes)))
     rc, rep = run(capsys, "check", "--operator", str(spec))
     assert rc == EXIT_USAGE and rep is None
+
+
+def test_operator_spec_must_be_an_object(tmp_path, capsys):
+    spec = tmp_path / "op.json"
+    spec.write_text("[1, 2]")
+    assert main(["check", "--operator", str(spec)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert not captured.out and "JSON object" in captured.err
+
+
+@pytest.mark.parametrize("data", [
+    [1],
+    "chain",
+    {"W1": 5},
+    {"W1": [{"coeff": "1", "exps": [4, 0, 0, 0, 0, 0], "hpow": 0.0}]},
+    {"n": True},
+    {"n": 1.7},
+    {"n": "1"},
+    # no oscillators: check used to take the empty chain
+    {"n": 0, "W1": "0", "W2": "0", "deltaW": "0"},
+], ids=["list", "string", "W1-number", "W1-hpow-float", "n-bool", "n-float", "n-string",
+        "n-zero"])
+def test_chain_config_shape_refused(tmp_path, capsys, data):
+    # a config of the wrong JSON shape is a usage error, not a chain
+    if isinstance(data, dict):
+        path = _unequal_with(tmp_path, **data)
+    else:
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(data))
+    for command in ("check", "obstruct"):
+        rc, rep = run(capsys, command, "--config", str(path))
+        assert rc == EXIT_USAGE and rep is None, command
 
 
 def test_verify_models(capsys):
@@ -267,7 +308,7 @@ def test_obstruct_refuses_bump_outside_the_orbit(tmp_path, capsys, monkeypatch):
     # no isolated stationary points, or an h-dependent W1'
     ({"W1": "x1"}, "h-free W1 whose derivative is not constant"),
     ({"W1": "0"}, "h-free W1 whose derivative is not constant"),
-    ({"W1": "1/4*x1^4 - 1/2*x1^2 + 1/4 + h*x1^2"}, "h-free W1 whose derivative is not constant"),
+    ({"W1": "1/4*x1^4 - 1/2*x1^2 + 1/4 + h*x1^2"}, "W1 must be h-free"),
 ])
 def test_unsupported_regimes_exit_2(tmp_path, capsys, monkeypatch, changes, message):
     # outside the supported regime is a usage error, not a mathematical
@@ -280,6 +321,22 @@ def test_unsupported_regimes_exit_2(tmp_path, capsys, monkeypatch, changes, mess
     for command in ("flow", "obstruct"):
         assert main([command, "--config", path]) == EXIT_USAGE, command
         assert message in capsys.readouterr().err, command
+
+
+@pytest.mark.parametrize("changes, message", [
+    # the leading symbol has no h-terms, so an h-term of W1 cannot shape
+    # the invariants or the orbit
+    ({"W1": "1/4*x1^4 - 1/2*x1^2 + 1/4 + h*x1^2", "alpha2": "1"}, "W1 must be h-free"),
+    ({"W1": "1/4*x1^4 - 1/2*x1^2 + 1/4 + h*x1^2"}, "W1 must be h-free"),
+    ({"deltaW": "1/10*h*x1*x2^3"}, "deltaW must be h-free"),
+    ({"deltaW": "1/10*x1*x2^3 + h^2*x1*x2^3"}, "deltaW must be h-free"),
+], ids=["W1-equal", "W1-unequal", "deltaW", "deltaW-h2-term"])
+def test_chain_potentials_must_be_h_free(tmp_path, capsys, changes, message):
+    path = _unequal_with(tmp_path, **changes)
+    for command in ("check", "obstruct"):
+        assert main([command, "--config", path]) == EXIT_USAGE, command
+        captured = capsys.readouterr()
+        assert not captured.out and message in captured.err, command
 
 
 def test_numerical_failure_exits_3(capsys):

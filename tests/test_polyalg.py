@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from susyfact.polyalg import Poly, PolyError, VarSpace, parse_poly, parse_rational
 
-from conftest import SYMPY_PHASES, as_sympy, poly_pairs, poly_triples, polys, spaces
+from conftest import NO_SHRINK_PHASES, as_sympy, poly_pairs, poly_triples, polys, spaces
 
 SP = VarSpace.make(["x1", "x2"])
 X1 = Poly.var(SP, "x1")
@@ -178,7 +178,7 @@ def test_literal_round_trip():
 # ----------------------------------------------------------- ring axioms
 
 @given(poly_pairs(), st.integers(-2, 2))
-@settings(max_examples=60, deadline=None, phases=SYMPY_PHASES)
+@settings(max_examples=60, deadline=None, phases=NO_SHRINK_PHASES)
 def test_arithmetic_against_sympy(fg, k):
     sympy = pytest.importorskip("sympy")
     f, g = fg

@@ -19,7 +19,7 @@ from susyfact.susy import (SusyStructure, assemble_factorization, check_necessar
                            construct, verify_reference_structures,
                            verify_structure)
 
-from conftest import NAMES, SYMPY_PHASES, as_sympy, operators, polys, rationals
+from conftest import NAMES, NO_SHRINK_PHASES, as_sympy, operators, polys, rationals
 
 
 def matrices(space: VarSpace, **kw):
@@ -56,7 +56,7 @@ def _factorization_data(draw):
 
 
 @given(_factorization_data(), st.booleans())
-@settings(max_examples=25, deadline=None, phases=SYMPY_PHASES)
+@settings(max_examples=25, deadline=None, phases=NO_SHRINK_PHASES)
 def test_assemble_factorization_against_literal_product(data, semiclassical):
     # applied to a generic u, the normal form -sum D_j B_jk D_k + sum v_j D_j + v0
     # equals sum_{j,k} (-D_j + d_j psi) A_kj (D_k + d_k phi)
@@ -108,7 +108,7 @@ def _kernel_problems(draw):
 
 
 @given(_kernel_problems())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, phases=NO_SHRINK_PHASES)
 def test_kernel_verdict_matches_both_kernel_tests(problem):
     # reference: the two kernel tests run separately, the adjoint one through
     # P.adjoint(); with force the zero order is shifted so that P kills
@@ -214,7 +214,7 @@ def test_construct_rejects_broken_kernel_condition():
 @given(st.integers(2, 3).flatmap(
     lambda n: matrices(VarSpace.make(NAMES[:n]), max_deg=2, max_hpow=0,
                        max_terms=2)))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, phases=NO_SHRINK_PHASES)
 def test_construct_round_trip_unweighted(A):
     sp = A[0][0].space
     zero = Poly.zero(sp)
@@ -409,7 +409,7 @@ def _weighted_problems(draw):
 
 
 @given(_weighted_problems(), st.booleans())
-@settings(max_examples=30, deadline=None, phases=SYMPY_PHASES)
+@settings(max_examples=30, deadline=None, phases=NO_SHRINK_PHASES)
 def test_weighted_divergence_solve_round_trip(problem, semiclassical):
     # vtilde_k = sum_j (D_j - g_j) C0_jk is built with sympy; the solve must
     # return an antisymmetric C with the same image
@@ -513,7 +513,7 @@ def _from_sympy(expr, sp: VarSpace, sympy) -> Poly:
 
 @given(st.integers(2, 4).flatmap(lambda n: st.tuples(
     matrices(VarSpace.make(NAMES[:n]), max_deg=2, max_hpow=2, max_terms=2), st.booleans())))
-@settings(max_examples=25, deadline=None, phases=SYMPY_PHASES)
+@settings(max_examples=25, deadline=None, phases=NO_SHRINK_PHASES)
 def test_unweighted_construct_against_sympy(data):
     # independent oracle: r = div G for an antisymmetric G, both in sympy; the
     # C that construct returns must be antisymmetric with sum_j d_j C_jk = r_k

@@ -82,7 +82,14 @@ class VarSpace:
 
     @staticmethod
     def from_json_dict(d: dict) -> "VarSpace":
-        return VarSpace.make(d["variables"], d.get("blocks"))
+        """Read `to_json_dict`'s form; `blocks`, when given, must be a JSON
+        object of lists of variable names."""
+        blocks = d.get("blocks")
+        if blocks is not None and (type(blocks) is not dict or any(
+                type(vs) is not list or any(type(v) is not str for v in vs)
+                for vs in blocks.values())):
+            raise PolyError(f"blocks = {blocks!r} is not a JSON object of lists of variable names")
+        return VarSpace.make(d["variables"], blocks)
 
 
 def _term_sort_key(key: tuple[tuple[int, ...], int]):

@@ -146,10 +146,13 @@ X2 = [{"coeff": "1/1", "exps": [0, 1], "hpow": 0}]
     {"v": [{"i": 0, "poly": [{"coeff": "1", "exps": [0, 1], "hpow": "1"}]}]},
     {"v0": 5},
     {"v0": [["1/1", [0, 0], 0]]},
+    {"blocks": 5},
+    {"blocks": ["x1", "x2"]},
+    {"blocks": {"all": ["x1", 2]}},
 ], ids=["variables-string", "B-j-past-end", "B-i-negative", "v-i-past-end", "v-i-negative",
         "v-i-bool", "v-i-float", "v-i-repeated", "semiclassical-string", "semiclassical-int",
         "B-object", "B-entry-list", "poly-number", "exps-float", "hpow-string", "v0-number",
-        "v0-term-list"])
+        "v0-term-list", "blocks-number", "blocks-list", "blocks-name-number"])
 def test_operator_spec_refused(tmp_path, capsys, changes):
     # a spec the loader cannot read as written is a usage error, not an operator
     spec = tmp_path / "op.json"

@@ -137,7 +137,7 @@ def _load_operator(args) -> SecondOrderOperator:
                              + ", ".join(sorted(bundles)))
         return bundles[args.model].operator
     cfg = _load_chain_config(args.config)
-    return models.make_chain(cfg).operator
+    return models.chain_operator(cfg)
 
 
 def _load_chain_config(path: str) -> models.ChainConfig:

@@ -276,7 +276,7 @@ def chain_phi0(cfg: ChainConfig) -> Poly:
     return out
 
 
-def make_chain(cfg: ChainConfig) -> ModelBundle:
+def chain_operator(cfg: ChainConfig) -> SecondOrderOperator:
     """The two-bath chain generator in divergence normal form:
 
         B: (gamma alpha_j / 2) on the bath diagonal,
@@ -297,7 +297,15 @@ def make_chain(cfg: ChainConfig) -> ModelBundle:
             v[iy] = -(W.partial(xn) + x - z)
             v[iz] = -cfg.gamma * (z - x)
     v0 = Poly.h(space) * (-2 * cfg.n * cfg.gamma)
-    P = SecondOrderOperator(space, tuple(tuple(r) for r in B), tuple(v), v0, True)
+    return SecondOrderOperator(space, tuple(tuple(r) for r in B), tuple(v), v0, True)
+
+
+def make_chain(cfg: ChainConfig) -> ModelBundle:
+    """The chain operator (`chain_operator`), its phase phi0, the conjugated
+    operator and, at equal temperatures or without coupling, the reference
+    structure."""
+    space = cfg.space
+    P = chain_operator(cfg)
 
     phi0 = chain_phi0(cfg)
     if cfg.alpha1 == cfg.alpha2:
@@ -327,7 +335,7 @@ def hamiltonian_p(cfg: ChainConfig) -> tuple[Poly, VarSpace]:
     over the doubled space (w, w') with w'_j dual to w_j: the symbol q of
     e^{2 phi0/h} P e^{-2 phi0/h}, for P the chain operator and phi0 =
     chain_phi0(cfg)."""
-    return make_chain(cfg).operator.exp_conjugate(2 * chain_phi0(cfg)).symbols()[2:]
+    return chain_operator(cfg).exp_conjugate(2 * chain_phi0(cfg)).symbols()[2:]
 
 
 # -------------------------------------------------------- bundled instances

@@ -38,8 +38,8 @@ import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401
 
 from . import flow, spectral
-from .models import (ChainConfig, UnsupportedConfig, chain_phi0, chain_var, hamiltonian_p,
-                     make_chain)
+from .models import (ChainConfig, UnsupportedConfig, chain_operator, chain_phi0, chain_var,
+                     hamiltonian_p)
 from .polyalg import Poly
 
 
@@ -81,7 +81,7 @@ BUMP = Bump(0.3, 0.7)
 def full_residual(cfg: ChainConfig, psi: Poly) -> Poly:
     """Left minus right side of the psi-equation (*), exactly: the eikonal
     residual of the chain operator at 2 phi0 + psi, for h-free psi."""
-    return make_chain(cfg).operator.eikonal_residual(2 * chain_phi0(cfg) + psi)
+    return chain_operator(cfg).eikonal_residual(2 * chain_phi0(cfg) + psi)
 
 
 def _deltaw_degree(cfg: ChainConfig) -> int:

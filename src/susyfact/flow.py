@@ -14,6 +14,21 @@ the quintic lower bound phi0(exp(t nu) x) - phi0(x) >= t^5 / C.
 The heteroclinic orbit gamma1 from the well minimum (t -> -infinity) to the
 saddle (t -> +infinity) is computed by shooting backward from the saddle
 along its stable eigendirection; both endpoints are verified a posteriori.
+
+`integrate` follows nu by its Taylor series (Jorba and Zou, Exp. Math. 14
+(2005) 99-117, section 3).  The orbit lies in the first block, where
+x' = y, y' = -(W1'(x) + x - z), z' = z - x; the second block stays exactly
+zero.  nu is polynomial, so the Taylor coefficients follow from a
+recurrence, with the powers of x from Cauchy products.  Each step is a
+polynomial of degree ORDER, as long as keeps its last two terms within
+STEP_EPS max(1, |state|).  The steps are the dense output, and the terminal
+event (the first entry into the endpoint ball) is located on their
+polynomials, so a dip into the ball and out again within one step is not
+missed.  Each leg's time budget follows from the linearizations at the
+saddle and at the minimum.  On the bundled chain the event times are within
+1.1e-9 (backward) and 3e-14 (forward) of a 40-digit Taylor integration from
+the same seed; tests/test_flow.py holds the orbit to 1e-10 of a tight DOP853
+solve on four double wells.
 """
 
 from __future__ import annotations
@@ -21,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -33,10 +49,6 @@ from . import spectral
 
 class FlowError(ValueError):
     pass
-
-
-RTOL = 1e-10
-ATOL = 1e-12
 
 
 # ------------------------------------------------------------------ nu field
@@ -126,43 +138,225 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def integrate(rhs, state0: Sequence[float], t_span: tuple[float, float],
-              n_samples: int = 200, events=None) -> Trajectory:
-    """Adaptive high-order integration with dense sampling.  t_span may run
-    backward (t1 < t0); the returned trajectory always has increasing times."""
+# Each step takes the Taylor series to ORDER and is as long as keeps its
+# last two terms within STEP_EPS max(1, |state|) (Jorba and Zou, Exp. Math.
+# 14 (2005), section 3.2).
+ORDER = 24
+STEP_EPS = 1e-16
+
+
+@dataclass(frozen=True)
+class Segments:
+    """Dense output of `integrate`: on step i the first block (x1, y1, z1) is
+    sum_k coef[i, :, k] (t - t0[i])^k, for t from lo[i] to the next step's
+    lo; the steps are sorted by lo, and the second block is zero."""
+
+    t0: np.ndarray
+    lo: np.ndarray
+    coef: np.ndarray
+    index: tuple[int, ...]
+    dim: int
+
+    def __call__(self, t):
+        """The state at one time, (dim,), or at k times, (dim, k)."""
+        t = np.asarray(t, dtype=float)
+        ts = np.atleast_1d(t)
+        i = np.maximum(np.searchsorted(self.lo, ts, side="right") - 1, 0)
+        tau = (ts - self.t0[i])[:, None]
+        c = self.coef[i]
+        v = c[:, :, ORDER]
+        for k in range(ORDER - 1, -1, -1):
+            v = v * tau + c[:, :, k]
+        out = np.zeros((self.dim, len(ts)))
+        out[list(self.index)] = v.T
+        return out[:, 0] if t.ndim == 0 else out
+
+    def join(self, later: "Segments") -> "Segments":
+        """These steps followed by `later`'s, which all lie at later times."""
+        return Segments(np.concatenate([self.t0, later.t0]), np.concatenate([self.lo, later.lo]),
+                        np.concatenate([self.coef, later.coef]), self.index, self.dim)
+
+
+def _w1_prime(cfg: ChainConfig) -> Poly:
+    """W1' in x1, for the regime the heteroclinic construction covers: n = 1,
+    gamma = 1 and a W1' that is not constant."""
+    if cfg.n != 1 or cfg.gamma != 1:
+        raise UnsupportedConfig("the heteroclinic construction supports n = 1 and gamma = 1 only")
+    x1 = chain_var(cfg.space, "x", 1)
+    w1p = cfg.W1.partial(x1)
+    if w1p.degree_in([x1]) == 0:
+        raise UnsupportedConfig("the heteroclinic construction needs an h-free W1 whose "
+                                "derivative is not constant")
+    return w1p
+
+
+def _taylor_coefficients(x: float, y: float, z: float,
+                         p: list[float]) -> list[list[float]]:
+    """The Taylor coefficients, orders 0..ORDER, of the solution of the
+    first-block drift x' = y, y' = -(W1'(x) + x - z), z' = z - x through
+    (x, y, z), with W1'(x) = sum_j p[j] x^j:
+
+        x_{k+1} = y_k/(k+1),  y_{k+1} = -(P_k + x_k - z_k)/(k+1),
+        z_{k+1} = (z_k - x_k)/(k+1),
+
+    where P_k = sum_j p[j] (x^j)_k and the series of x^j = x x^(j-1) come
+    from Cauchy products."""
+    xs, ys, zs = [x], [y], [z]
+    powers = [xs] + [[x ** j] for j in range(2, len(p))]  # powers[j-1] is x^j
+    for k in range(ORDER):
+        P = sum(pj * s[k] for pj, s in zip(p[1:], powers)) + (p[0] if k == 0 else 0.0)
+        xs.append(ys[k] / (k + 1))
+        ys.append(-(P + xs[k] - zs[k]) / (k + 1))
+        zs.append((zs[k] - xs[k]) / (k + 1))
+        for j in range(1, len(powers)):
+            powers[j].append(sum(map(mul, xs, reversed(powers[j - 1]))))
+    return [xs, ys, zs]
+
+
+def _horner(c: Sequence[float], tau: float) -> float:
+    v = c[-1]
+    for ck in reversed(c[:-1]):
+        v = v * tau + ck
+    return v
+
+
+# C(j, k) and j - k, for re-expanding a step's polynomial about other centers
+_BINOMIAL = np.array([[math.comb(j, k) for k in range(ORDER + 1)] for j in range(ORDER + 1)],
+                     dtype=float)
+_SHIFT = np.maximum(np.subtract.outer(np.arange(ORDER + 1), np.arange(ORDER + 1)), 0)
+# pieces a span is cut into when its distance from the event ball is bounded
+EVENT_PIECES = 16
+
+
+def _entry_time(series: list[list[float]], h: float, center: list[float],
+                tol: float) -> Optional[float]:
+    """The first tau between 0 and h at which the step's polynomial enters
+    the ball of radius tol around center from outside, or None.  A step
+    that starts farther from the ball than its polynomial can move is
+    passed over."""
+    q = np.array(series)
+    q[:, 0] -= center
+    start = float(np.linalg.norm(q[:, 0]))
+    reach = np.abs(q[:, 1:]) @ np.abs(h) ** np.arange(1, ORDER + 1)
+    if start - np.linalg.norm(reach) > tol:
+        return None
+    return _first_entry(q, 0.0, h, tol, start > tol)[0]
+
+
+def _first_entry(q: np.ndarray, a: float, b: float, tol: float,
+                 outside: bool) -> tuple[Optional[float], bool]:
+    """The first tau from a toward b at which |q(tau)| falls to tol from
+    above, given whether q(a) lies outside the ball, and whether q(b) does.
+    The span is cut into EVENT_PIECES pieces and q is re-expanded about each
+    piece's center, where the sum of |coefficient| r^k over the piece's
+    radius r bounds how far q moves.  A piece that this keeps outside or
+    inside the ball is decided; an inside piece after an outside one starts
+    at the crossing.  The other pieces are searched the same way, so a dip
+    into the ball and out again is found however short it is.  At float
+    resolution every piece is decided by its center."""
+    w = (b - a) / EVENT_PIECES
+    mids = a + w * (np.arange(EVENT_PIECES) + 0.5)
+    powers = np.vander(mids, ORDER + 1, increasing=True)
+    local = np.einsum("rj,mjk->mrk", q, powers[:, _SHIFT] * _BINOMIAL)
+    dist = np.linalg.norm(local[:, :, 0], axis=1)
+    if abs(w) <= 4 * math.ulp(max(abs(a), abs(b))):
+        moves = np.zeros(EVENT_PIECES)
+    else:
+        moves = np.linalg.norm(np.abs(local[:, :, 1:]) @ (abs(w) / 2) ** np.arange(1, ORDER + 1),
+                               axis=1)
+    if np.all(dist - moves > tol):
+        return None, True
+    for i in range(EVENT_PIECES):
+        if dist[i] - moves[i] > tol:
+            outside = True
+        elif dist[i] + moves[i] <= tol:
+            if outside:
+                return a + i * w, False
+        else:
+            tau, outside = _first_entry(q, a + i * w, a + (i + 1) * w, tol, outside)
+            if tau is not None:
+                return tau, False
+    return None, outside
+
+
+def integrate(cfg: ChainConfig, state0: Sequence[float], t_span: tuple[float, float],
+              n_samples: int = 200,
+              stop_near: Optional[tuple[np.ndarray, float]] = None) -> Trajectory:
+    """Taylor-series integration of nu from a state whose second block is
+    zero.  nu keeps that block zero, so only the first block is integrated,
+    and the trajectory carries the second block as exact zeros.  t_span may
+    run backward (t1 < t0); the trajectory always has increasing times,
+    n_samples of them, and meta["dense"] is the dense output.  With
+    stop_near = (point, tol) the integration ends where the state first
+    enters the ball of radius tol around point's first block
+    (meta["terminated_by_event"]); a stationary point's second block is
+    zero, since W2 is a positive definite quadratic form."""
+    space = cfg.space
+    x1 = chain_var(space, "x", 1)
+    w1p = _w1_prime(cfg)
+    p = [0.0] * (w1p.degree_in([x1]) + 1)
+    for (exps, _), c in w1p.terms.items():
+        p[exps[space.index(x1)]] = float(c)
+    index = tuple(space.index(chain_var(space, c, 1)) for c in "xyz")
+    state0 = np.asarray(state0, dtype=float)
+    if np.any(np.delete(state0, index)):
+        raise FlowError("integrate starts only from states whose second block is zero")
+    if stop_near is not None:
+        center, tol = [float(stop_near[0][i]) for i in index], stop_near[1]
     t0, t1 = t_span
-    sol = solve_ivp(rhs, (t0, t1), np.asarray(state0, dtype=float), method="DOP853",
-                    rtol=RTOL, atol=ATOL, dense_output=True, events=events)
-    if not sol.success and sol.status != 1:
-        raise FlowError(f"integration failed: {sol.message}; last state {sol.y[:, -1]}")
-    t_end = sol.t[-1]
-    ts = np.linspace(t0, t_end, n_samples)
-    ys = sol.sol(ts).T
+    t, state = t0, [float(state0[i]) for i in index]
+    starts, steps, coefs = [], [], []
+    hit = None
+    while t != t1 and hit is None:
+        series = _taylor_coefficients(*state, p)
+        eps = STEP_EPS * max(1.0, *map(abs, state))
+        h = min([abs(t1 - t)] + [(eps / c) ** (1.0 / k) for k in (ORDER - 1, ORDER)
+                                 if (c := max(abs(s[k]) for s in series))])
+        t_next = t1 if h == abs(t1 - t) else t + math.copysign(h, t1 - t)
+        if t_next == t:
+            raise FlowError(f"integration failed: the step size underflowed at t = {t}")
+        h = t_next - t
+        if stop_near is not None:
+            tau = _entry_time(series, h, center, tol)
+            if tau is not None:
+                hit = t + tau
+        starts.append(t)
+        steps.append(h)
+        coefs.append(series)
+        state = [_horner(c, h) for c in series]
+        if not all(map(math.isfinite, state)):
+            raise FlowError(f"integration failed: the state is not finite at t = {t_next}")
+        t = t_next
+    t_starts, t_steps = np.array(starts), np.array(steps)
+    order = slice(None) if t1 >= t0 else slice(None, None, -1)
+    dense = Segments(t_starts[order], np.minimum(t_starts, t_starts + t_steps)[order],
+                     np.array(coefs)[order], index, space.n)
+    ts = np.linspace(t0, t1 if hit is None else hit, n_samples)
+    ys = dense(ts).T
     if ts[0] > ts[-1]:
         ts, ys = ts[::-1], ys[::-1]
-    meta = {"terminated_by_event": sol.status == 1, "sol": sol.sol}
+    meta = {"terminated_by_event": hit is not None, "dense": dense}
     return Trajectory(ts, ys, meta)
 
 
 # --------------------------------------------------------------- heteroclinic
 
+# the shooting budget is this multiple of the time the linearizations give
+BUDGET_SAFETY = 2.0
+
+
 def _saddle_and_targets(cfg: ChainConfig) -> tuple[np.ndarray, np.ndarray, float,
-                                                    list[tuple[float, np.ndarray]]]:
+                                                    list[tuple[float, np.ndarray, float]]]:
     """The saddle among the stationary points, the unit stable eigenvector of
-    its linearization, mu1, and the shooting targets: (sign, minimum) for
-    the nearest minimum on each side of the saddle in x1, the side of
-    increasing x1 first.  W2 is positive definite, so each point is
+    its linearization, mu1, and the shooting targets: (sign, minimum, rate)
+    for the nearest minimum on each side of the saddle in x1, the side of
+    increasing x1 first, where rate is the smallest real part of the
+    eigenvalues at the minimum.  W2 is positive definite, so each point is
     classified by the root triple of W1'' at its x1."""
-    if cfg.n != 1 or cfg.gamma != 1:
-        raise UnsupportedConfig("the heteroclinic construction supports n = 1 and gamma = 1 only")
     space = cfg.space
     x1 = chain_var(space, "x", 1)
     ix1 = space.index(x1)
-    w1p = cfg.W1.partial(x1)
-    if w1p.degree_in([x1]) == 0:
-        raise UnsupportedConfig("the heteroclinic construction needs an h-free W1 whose "
-                                "derivative is not constant")
-    w1pp = w1p.partial(x1)
+    w1pp = _w1_prime(cfg).partial(x1)
     saddles, minima = [], []
     for pt in stationary_points(cfg):
         w = w1pp.evaluate(dict(zip(space.names, pt)))
@@ -170,7 +364,7 @@ def _saddle_and_targets(cfg: ChainConfig) -> tuple[np.ndarray, np.ndarray, float
         if cls == "one_negative":
             saddles.append((pt, w))
         elif cls == "all_re_positive":
-            minima.append(pt)
+            minima.append((pt, w))
     if len(saddles) != 1:
         raise UnsupportedConfig(
             f"W1 has {len(saddles)} saddles; the heteroclinic construction supports "
@@ -182,9 +376,10 @@ def _saddle_and_targets(cfg: ChainConfig) -> tuple[np.ndarray, np.ndarray, float
     vec /= np.linalg.norm(vec)
     targets = []
     for sign in (+1.0, -1.0):
-        side = [p for p in minima if sign * (p[ix1] - saddle[ix1]) > 0]
+        side = [(p, wm) for p, wm in minima if sign * (p[ix1] - saddle[ix1]) > 0]
         if side:
-            targets.append((sign, min(side, key=lambda p: abs(p[ix1] - saddle[ix1]))))
+            p, wm = min(side, key=lambda m: abs(m[0][ix1] - saddle[ix1]))
+            targets.append((sign, p, spectral.cubic_roots(wm)[0].real))
     if not targets:
         raise UnsupportedConfig("W1 has no minimum on either side of its saddle; the "
                                 "heteroclinic construction needs a well")
@@ -204,16 +399,28 @@ def heteroclinic_gamma1(cfg: ChainConfig, endpoint_tol: float = 1e-7) -> Traject
     (t -> +inf), parametrized with t = 0 at the shooting seed near the
     saddle.  The seed is tried on the side of increasing x1 first; each side
     targets its nearest minimum.  Endpoint residuals are recorded in meta and
-    enforced."""
+    enforced.
+
+    Each leg is given up after BUDGET_SAFETY times the time the
+    linearizations give.  Backward: ln(d/eps)/mu1 to leave the saddle from
+    the seed at distance eps, plus ln(d/tol)/rate to close in on the minimum
+    at the smallest real part `rate` of its eigenvalues, with d = |minimum -
+    saddle| and tol = endpoint_tol, but no smaller than the integrator's
+    error scale STEP_EPS max(1, |minimum|), below which the orbit cannot
+    close in.  Forward: ln(eps/endpoint_tol)/mu1 to close in on the saddle;
+    a seed already within endpoint_tol of the saddle never enters the ball."""
     saddle, stable, mu1, targets = _saddle_and_targets(cfg)
-    _, rhs = nu_field(cfg)
     phi0_fn = chain_phi0(cfg).compiled()
 
-    for sign, minimum in targets:
-        eps = 1e-6 * float(np.linalg.norm(minimum - saddle))
+    for sign, minimum, rate in targets:
+        d = float(np.linalg.norm(minimum - saddle))
+        eps = 1e-6 * d
         seed = saddle + sign * eps * stable
+        tol = max(endpoint_tol, STEP_EPS * max(1.0, float(np.linalg.norm(minimum))))
+        budgets = (BUDGET_SAFETY * (math.log(d / eps) / mu1 + max(math.log(d / tol), 0.0) / rate),
+                   BUDGET_SAFETY * math.log(eps / endpoint_tol) / mu1)
         try:
-            traj = _shoot(rhs, seed, saddle, minimum, endpoint_tol)
+            traj = _shoot(cfg, seed, saddle, minimum, endpoint_tol, budgets)
         except FlowError as e:
             last_error = e
             continue
@@ -227,43 +434,31 @@ def heteroclinic_gamma1(cfg: ChainConfig, endpoint_tol: float = 1e-7) -> Traject
     raise last_error
 
 
-def _shoot(rhs, seed, saddle, minimum, tol) -> Trajectory:
+def _shoot(cfg, seed, saddle, minimum, tol, budgets) -> Trajectory:
     """Both legs from the seed, each sampled at 400 times and given up
-    after 400 time units."""
-    def near_minimum(t, s):
-        return np.linalg.norm(s - minimum) - tol
-    near_minimum.terminal = True
-    near_minimum.direction = -1
-
-    def near_saddle(t, s):
-        return np.linalg.norm(s - saddle) - tol
-    near_saddle.terminal = True
-    near_saddle.direction = -1
-
-    back = integrate(rhs, seed, (0.0, -400.0), n_samples=400, events=near_minimum)
+    after its budget of time units, (backward, forward)."""
+    back = integrate(cfg, seed, (0.0, -budgets[0]), n_samples=400, stop_near=(minimum, tol))
     if not back.meta["terminated_by_event"]:
         raise FlowError("backward orbit did not reach the minimum within budget")
-    fwd = integrate(rhs, seed, (0.0, 400.0), n_samples=400, events=near_saddle)
+    if budgets[1] <= 0:
+        raise FlowError("forward orbit did not reach the saddle: the seed lies within "
+                        "endpoint_tol of it")
+    fwd = integrate(cfg, seed, (0.0, budgets[1]), n_samples=400, stop_near=(saddle, tol))
     if not fwd.meta["terminated_by_event"]:
         raise FlowError("forward orbit did not reach the saddle within budget")
     ts = np.concatenate([back.times[:-1], fwd.times])
     ys = np.concatenate([back.states[:-1], fwd.states])
     meta = {"endpoint_residual_minimum": float(np.linalg.norm(ys[0] - minimum)),
             "endpoint_residual_saddle": float(np.linalg.norm(ys[-1] - saddle)),
-            "sol_backward": back.meta["sol"], "sol_forward": fwd.meta["sol"]}
+            "dense": back.meta["dense"].join(fwd.meta["dense"])}
     return Trajectory(ts, ys, meta)
 
 
 def gamma1_interpolant(traj: Trajectory) -> Callable[[np.ndarray], np.ndarray]:
     """Continuous state as a function of the trajectory's own time variable,
     clamped to its time range: a (dim,) array at one time, (dim, k) at k."""
-    sb, sf = traj.meta["sol_backward"], traj.meta["sol_forward"]
-
-    def state(t):
-        t = np.clip(t, traj.times[0], traj.times[-1])
-        return np.where(t <= 0, sb(np.minimum(t, 0.0)), sf(np.maximum(t, 0.0)))
-
-    return state
+    dense = traj.meta["dense"]
+    return lambda t: dense(np.clip(t, traj.times[0], traj.times[-1]))
 
 
 def lyapunov_report(cfg: ChainConfig, traj: Trajectory) -> dict:

@@ -342,6 +342,19 @@ def test_chain_potentials_must_be_h_free(tmp_path, capsys, changes, message):
         assert not captured.out and message in captured.err, command
 
 
+@pytest.mark.parametrize("W1", ["4*x1^4 - 8*x1^2 + 4", "x1^6 - x1^4 - x1^2 + 1"],
+                         ids=["deep-well", "sextic"])
+def test_slow_wells_within_budget(tmp_path, capsys, W1):
+    # the smallest rate at the minimum is 0.0147 and 0.0279: the orbit takes
+    # about 1040 and 540 time units to close in, and the shooting budget
+    # follows from those rates
+    path = _unequal_with(tmp_path, W1=W1)
+    rc, rep = run(capsys, "flow", "--config", path)
+    assert rc == EXIT_OK and rep["lyapunov"]["strictly_increasing"]
+    rc, rep = run(capsys, "obstruct", "--config", path)
+    assert rc == EXIT_OK and rep["obstruction"]["verdict"] == "nonsmooth_at_saddle"
+
+
 def test_numerical_failure_exits_3(capsys):
     # a tolerance the integrator cannot reach is a failure of the numerics,
     # not a mathematical negative

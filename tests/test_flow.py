@@ -9,7 +9,7 @@ import pytest
 
 from susyfact.flow import (cascade_check, gamma1_interpolant,
                            heteroclinic_gamma1, integrate, lyapunov_report,
-                           nu_apply, nu_components, nu_field, nu_iterates,
+                           nu_apply, nu_components, nu_iterates,
                            quintic_bound_probe, stationary_points)
 from susyfact.models import ChainConfig, UnsupportedConfig, chain_phi0, default_chain_config
 from susyfact.polyalg import Poly, parse_poly
@@ -133,6 +133,101 @@ def test_heteroclinic_stays_in_invariant_block(cfg, gamma1):
     assert np.max(np.abs(gamma1.states[:, 3:])) == 0.0
 
 
+# W1 and the x1 of the minimum the orbit starts from; every saddle is at 0.
+# The sextic's W1' = 2 x1 (3 x1^2 + 1)(x1^2 - 1) has degree 5; the deep
+# well's smallest rate at the minimum is 0.0147, so its orbit takes about
+# 1040 time units to close in on it.
+ORBIT_CONFIGS = {
+    "bundled": ("1/4*x1^4 - 1/2*x1^2 + 1/4", 1.0),
+    "wells-pm2": ("1/16*x1^4 - 1/2*x1^2 + 1", 2.0),
+    "deep-well": ("4*x1^4 - 8*x1^2 + 4", 1.0),
+    "sextic": ("x1^6 - x1^4 - x1^2 + 1", 1.0),
+}
+
+
+def _reference_leg(w1p, seed, target, t_stop, tol=1e-7):
+    """An rtol-1e-13/atol-1e-16 DOP853 solve of the first block from the
+    seed toward t_stop, as a function of time, and the time at which it
+    first enters the ball of radius tol around the stationary point target.
+    Once within 1e-2 of target the solve goes on in u = state - target, with
+    W1' re-expanded about target, so that the deviation is not rounded
+    against |target| while the orbit closes in.  solve_ivp's own events
+    compare the step ends only and miss the spiral's short dips into the
+    ball, so the entry is found on the dense output, sampled every 1e-3 time
+    units and bisected."""
+    from numpy.polynomial import Polynomial
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import brentq
+
+    def solve(shift, t0, start, **kwargs):
+        coefs = tuple(reversed(w1p(Polynomial([shift[0], 1.0])).coef))
+
+        def rhs(t, u):
+            x, y, z = u
+            w = 0.0
+            for c in coefs:
+                w = w * x + c
+            return [y, -(w + x - z), z - x]
+        sol = solve_ivp(rhs, (t0, t_stop), start - shift, method="DOP853", rtol=1e-13,
+                        atol=1e-16, dense_output=True, **kwargs)
+        assert sol.success
+        return sol
+
+    def near(t, s):
+        return np.linalg.norm(s - target) - 1e-2
+    near.terminal = True
+    t_switch, start = 0.0, seed
+    if np.linalg.norm(seed - target) > 1e-2:
+        far = solve(np.zeros(3), 0.0, seed, events=near)
+        t_switch, start = far.t[-1], far.y[:, -1]
+    close = solve(target, t_switch, start)
+    ts = np.linspace(t_switch, t_stop, int(abs(t_stop - t_switch) / 1e-3) + 2)
+    inside = np.linalg.norm(close.sol(ts), axis=0) <= tol
+    (entries,) = np.nonzero(inside[1:] & ~inside[:-1])
+    assert len(entries), "the reference never enters the ball"
+    i = entries[0]
+    entry = brentq(lambda t: np.linalg.norm(close.sol(t)) - tol, ts[i], ts[i + 1], xtol=1e-14)
+    return (lambda t: far.sol(t) if abs(t) < abs(t_switch) else close.sol(t) + target), entry
+
+
+@pytest.mark.parametrize("name", list(ORBIT_CONFIGS))
+def test_orbit_against_tight_dop853(cfg, name):
+    # from the orbit's own seed (its state at t = 0), an rtol-1e-13 DOP853
+    # solve of the first block: the states agree to 1e-10 at 12 times on
+    # each leg, and both endpoint times to 1e-8
+    from numpy.polynomial import Polynomial
+    text, x_min = ORBIT_CONFIGS[name]
+    conf = ChainConfig(1, parse_poly(cfg.space, text), cfg.W2, cfg.deltaW, cfg.alpha1,
+                       cfg.alpha2, cfg.gamma)
+    traj = heteroclinic_gamma1(conf)
+    coef = {exps[0]: float(c) for (exps, _), c in conf.W1.partial("x1").terms.items()}
+    w1p = Polynomial([coef.get(j, 0.0) for j in range(max(coef) + 1)])
+    (i0,) = np.nonzero(traj.times == 0.0)[0]
+    seed = traj.states[i0, :3]
+    legs = [(traj.times[:i0 + 1], traj.states[:i0 + 1], np.array([x_min, 0.0, x_min])),
+            (traj.times[i0:], traj.states[i0:], np.zeros(3))]
+    for times, states, target in legs:
+        end = times[0] if times[0] < 0 else times[-1]
+        state_of_t, entry = _reference_leg(w1p, seed, target, end + 5.0 * np.sign(end))
+        assert abs(entry - end) <= 1e-8, (entry, end)
+        for k in np.linspace(0, len(times) - 1, 12).astype(int):
+            assert np.max(np.abs(state_of_t(times[k]) - states[k, :3])) <= 1e-10, times[k]
+
+
+def test_heteroclinic_goes_through_integrate(cfg, monkeypatch):
+    # the refusal tests in test_cli.py patch flow.integrate to prove that
+    # nothing is integrated: so the orbit must be integrated through it
+    from susyfact import flow
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("stop_near"))
+        return integrate(*args, **kwargs)
+    monkeypatch.setattr(flow, "integrate", counting)
+    heteroclinic_gamma1(cfg)
+    assert len(calls) == 2 and all(c is not None for c in calls)
+
+
 def test_lyapunov_monotone(cfg, gamma1):
     rep = lyapunov_report(cfg, gamma1)
     assert rep["strictly_increasing"]
@@ -189,8 +284,7 @@ def test_quintic_probe_fully_degenerate_below_resolution(cfg, x1):
 
 
 def test_integrate_events_and_direction(cfg):
-    _, rhs = nu_field(cfg)
-    traj = integrate(rhs, [0.5, 0.0, 0.1, 0.0, 0.0, 0.0], (0.0, 1.0),
+    traj = integrate(cfg, [0.5, 0.0, 0.1, 0.0, 0.0, 0.0], (0.0, 1.0),
                      n_samples=50)
     assert len(traj.times) == 50
     assert np.all(np.diff(traj.times) > 0)

@@ -425,8 +425,7 @@ def heteroclinic_gamma1(cfg: ChainConfig, endpoint_tol: float = 1e-7) -> Traject
             last_error = e
             continue
         # the orbit must stay in the well of the minimum: phi0 below its saddle value
-        phis = np.array([phi0_fn(s) for s in traj.states])
-        if phis[0] > phis[-1]:
+        if phi0_fn(traj.states[0]) > phi0_fn(traj.states[-1]):
             last_error = FlowError("seed fell on the wrong side of the saddle")
             continue
         traj.meta["mu1"] = mu1

@@ -163,10 +163,9 @@ class Segments:
         ts = np.atleast_1d(t)
         i = np.maximum(np.searchsorted(self.lo, ts, side="right") - 1, 0)
         tau = (ts - self.t0[i])[:, None]
-        c = self.coef[i]
-        v = c[:, :, ORDER]
+        v = self.coef[i, :, ORDER]
         for k in range(ORDER - 1, -1, -1):
-            v = v * tau + c[:, :, k]
+            v = v * tau + self.coef[i, :, k]
         out = np.zeros((self.dim, len(ts)))
         out[list(self.index)] = v.T
         return out[:, 0] if t.ndim == 0 else out

@@ -31,8 +31,6 @@ import tempfile
 from importlib import resources
 from typing import Optional
 
-import numpy as np
-
 from . import flow as flowmod
 from . import models, obstruction, spectral, susy
 from .opcore import SecondOrderOperator
@@ -68,10 +66,6 @@ def _canon(value):
         return float(format(value, ".17g"))
     if isinstance(value, complex):
         return [_canon(value.real), _canon(value.imag)]
-    if isinstance(value, np.floating):
-        return _canon(float(value))
-    if isinstance(value, np.integer):
-        return int(value)
     raise UsageError(f"cannot serialize value of type {type(value).__name__}")
 
 

@@ -231,6 +231,22 @@ def test_obstruct_command(tmp_path):
     assert rep["invariant_subspace"]["symbolic_zero"] is True
 
 
+def test_no_ode_goes_through_scipy(tmp_path, monkeypatch):
+    # flow.solve_ivp and obstruction.solve_ivp are bound only for the
+    # benchmark tracer, which counts calls through them: nothing calls them
+    from susyfact import flow
+    from susyfact.models import default_chain_config
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_ivp was called")
+    monkeypatch.setattr("susyfact.flow.solve_ivp", refuse)
+    monkeypatch.setattr("susyfact.obstruction.solve_ivp", refuse)
+    for cmd in ("flow", "obstruct"):
+        assert main([cmd, "--config", "chain_unequal", "--out", str(tmp_path / "r.json")]) == EXIT_OK
+    rows = flow.quintic_bound_probe(default_chain_config(), [[0.5, 0.0, 0.5, 0.0, 0.0, 0.0]])
+    assert rows[0]["case"] == "fully_degenerate"
+
+
 def _unequal_with(tmp_path, **changes) -> str:
     cfg = json.loads(Path("src/susyfact/configs/chain_unequal.json").read_text())
     path = tmp_path / "chain.json"

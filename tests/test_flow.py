@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from susyfact.flow import (cascade_check, gamma1_interpolant,
+from susyfact.flow import (PROBE_SAMPLES, PROBE_T_MAX, cascade_check, gamma1_interpolant,
                            heteroclinic_gamma1, integrate, lyapunov_report,
                            nu_apply, nu_components, nu_iterates,
                            quintic_bound_probe, stationary_points)
@@ -68,14 +69,24 @@ def test_cascade_requires_unit_gamma(cfg):
 
 
 def test_quintic_probe_refuses_unit_gamma_before_integrating(cfg, monkeypatch):
-    # gamma != 1 is an unsupported regime (exit 2), not a numerical failure
-    bad = ChainConfig(1, cfg.W1, cfg.W2, cfg.deltaW, cfg.alpha1, cfg.alpha2, Fraction(2))
+    # gamma != 1, n != 1 and a start off the first block are unsupported
+    # regimes (exit 2), not numerical failures, and are refused before any step
+    n2 = ChainConfig.from_json_dict({"n": 2, "W1": "1/4*x1_1^4 - 1/2*x1_1^2 + 1/4*x1_2^4",
+                                     "W2": "1/2*x2_1^2 + 1/2*x2_2^2", "deltaW": "0",
+                                     "alpha1": "1", "alpha2": "2", "gamma": "1"})
+    refused = [(ChainConfig(1, cfg.W1, cfg.W2, cfg.deltaW, cfg.alpha1, cfg.alpha2, Fraction(2)),
+                [0.5, 0.0, 0.1, 0.0, 0.0, 0.0], "gamma = 1"),
+               (n2, [0.5] + [0.0] * 11, "n = 1"),
+               (cfg, [0.5, 0.0, 0.1, 0.2, 0.0, 0.0], "second block is zero")]
 
     def no_integration(*args, **kwargs):
         raise AssertionError("integrated before refusing")
-    monkeypatch.setattr("susyfact.flow.solve_ivp", no_integration)
-    with pytest.raises(UnsupportedConfig, match="gamma = 1"):
-        quintic_bound_probe(bad, [[0.5, 0.0, 0.1, 0.0, 0.0, 0.0]])
+    monkeypatch.setattr("susyfact.flow._taylor_coefficients", no_integration)
+    with pytest.raises(AssertionError, match="integrated"):  # a supported start steps
+        quintic_bound_probe(cfg, [[0.5, 0.0, 0.1, 0.0, 0.0, 0.0]])
+    for conf, point, reason in refused:
+        with pytest.raises(UnsupportedConfig, match=reason):
+            quintic_bound_probe(conf, [point])
 
 
 # ------------------------------------------------------- stationary analysis
@@ -262,25 +273,59 @@ def test_trajectory_csv(cfg, gamma1):
 
 # --------------------------------------------------------------- power laws
 
+PROBE_POINTS = [[0.5, 0.0, 0.1, 0.0, 0.0, 0.0],     # generic: slope 1
+                [0.5, 0.3, 0.5, 0.0, 0.0, 0.0],     # z = x, y != 0: slope 3
+                [0.5, 0.0, 0.5, 0.0, 0.0, 0.0]]     # z = x, y = 0: slope 5
+
+
 def test_quintic_probe_slopes(cfg):
-    pts = [[0.5, 0.0, 0.1, 0.0, 0.0, 0.0],     # generic: slope 1
-           [0.5, 0.3, 0.5, 0.0, 0.0, 0.0],     # z = x, y != 0: slope 3
-           [0.5, 0.0, 0.5, 0.0, 0.0, 0.0]]     # z = x, y = 0: slope 5
-    rows = quintic_bound_probe(cfg, pts)
+    rows = quintic_bound_probe(cfg, PROBE_POINTS)
     want = {"generic": 1.0, "y_nonzero_degenerate": 3.0, "fully_degenerate": 5.0}
     for r in rows:
-        assert abs(r["slope"] - want[r["case"]]) < 0.3
+        assert abs(r["slope"] - want[r["case"]]) < 1e-2
         assert r["min_delta"] > 0.0
         assert np.isfinite(r["C_witness"]) and r["C_witness"] > 0.0
 
 
 @pytest.mark.parametrize("x1", [0.3, 0.32, 0.5945])
 def test_quintic_probe_fully_degenerate_below_resolution(cfg, x1):
-    # at small t the increment is under the integrator's resolution and its
-    # round-off sign must not fail the probe
+    # at the first sample time the increment, 4-7e-23, is below what an
+    # atol-1e-16 solve of the flow resolves; its series has no cancellation
     (r,) = quintic_bound_probe(cfg, [[x1, 0.0, x1, 0.0, 0.0, 0.0]])
     assert r["case"] == "fully_degenerate"
-    assert abs(r["slope"] - 5.0) < 0.3
+    assert abs(r["slope"] - 5.0) < 1e-2
+    assert r["min_delta"] > 0.0
+
+
+def test_quintic_probe_min_delta_against_the_cascade(cfg):
+    # Delta(t) = sum_k nu^k(phi0)(x) t^k/k!, and at t = 1e-4 the terms past
+    # k = 5 are below 1e-3 of the sum at every class of point
+    t = 1e-4
+    for point, r in zip(PROBE_POINTS, quintic_bound_probe(cfg, PROBE_POINTS)):
+        values = cascade_check(cfg, point).values
+        want = sum(v * t ** k / math.factorial(k) for k, v in enumerate(values, start=1))
+        assert abs(r["min_delta"] - want) <= 1e-3 * want, (r["case"], r["min_delta"], want)
+
+
+def test_quintic_probe_against_augmented_dop853(cfg):
+    # the flow with Delta' = nu(phi0) appended, as one rtol-1e-12 DOP853
+    # solve; C_witness = max t^5/Delta over the samples where it resolves
+    # Delta (>= 1e-10) is taken at t = PROBE_T_MAX at these two points
+    from scipy.integrate import solve_ivp
+    fns = [p.compiled() for p in nu_components(cfg)] + [nu_apply(cfg, chain_phi0(cfg)).compiled()]
+
+    def rhs(t, s):
+        return [f(s[:-1]) for f in fns]
+    ts = np.geomspace(1e-4, PROBE_T_MAX, PROBE_SAMPLES)
+    for point in PROBE_POINTS[:2]:
+        sol = solve_ivp(rhs, (0.0, PROBE_T_MAX), point + [0.0], method="DOP853", rtol=1e-12,
+                        atol=1e-16, dense_output=True)
+        assert sol.success
+        deltas = sol.sol(ts)[-1]
+        resolved = ts >= ts[np.argmax(deltas >= 1e-10)]
+        want = np.max(ts[resolved] ** 5 / deltas[resolved])
+        (r,) = quintic_bound_probe(cfg, [point])
+        assert abs(r["C_witness"] - want) <= 1e-6 * want, (r["case"], r["C_witness"], want)
 
 
 def test_integrate_events_and_direction(cfg):

@@ -28,9 +28,9 @@ missed.  Each leg's time budget follows from the linearizations at the
 saddle and at the minimum.  On the bundled chain the event times are within
 1.1e-9 (backward) and 3e-14 (forward) of a 40-digit Taylor integration from
 the same seed; tests/test_flow.py holds the orbit to 1e-10 of a tight DOP853
-solve on four double wells.  `quintic_bound_probe` runs on the same steps and
-carries the increment of phi0 as one more series, integrated from
-nu(phi0) = (z1 - x1)^2/alpha1.
+solve on four double wells.  `lyapunov_report` and `quintic_bound_probe`
+take the increase of phi0 along the same steps from `phi0_gains`, which
+integrates the identity nu(phi0) = (z1 - x1)^2/alpha1 on them.
 """
 
 from __future__ import annotations
@@ -74,21 +74,17 @@ def nu_components(cfg: ChainConfig) -> list[Poly]:
 
 def nu_apply(cfg: ChainConfig, p: Poly) -> Poly:
     """Directional derivative nu(p), exactly."""
-    comps = nu_components(cfg)
-    out = Poly.zero(cfg.space)
-    for comp, name in zip(comps, cfg.space.names):
-        out = out + comp * p.partial(name)
-    return out
+    return nu_iterates(cfg, p, 1)[0]
 
 
 def nu_iterates(cfg: ChainConfig, p: Poly, order: int) -> list[Poly]:
     """[nu(p), nu^2(p), ..., nu^order(p)], exactly."""
-    out = []
-    cur = p
+    comps = nu_components(cfg)
+    out = [p]
     for _ in range(order):
-        cur = nu_apply(cfg, cur)
-        out.append(cur)
-    return out
+        out.append(sum((comp * out[-1].partial(name) for comp, name in zip(comps, cfg.space.names)),
+                       Poly.zero(cfg.space)))
+    return out[1:]
 
 
 def stationary_points(cfg: ChainConfig) -> list[np.ndarray]:
@@ -453,25 +449,38 @@ def gamma1_interpolant(traj: Trajectory) -> Callable[[np.ndarray], np.ndarray]:
     return lambda t: dense(np.clip(t, traj.times[0], traj.times[-1]))
 
 
+def phi0_gains(cfg: ChainConfig, dense: Segments, edges: np.ndarray) -> np.ndarray:
+    """The increase of phi0 between consecutive edges (increasing times in
+    the dense output's range): the integral of nu(phi0) = (z1 - x1)^2/alpha1
+    (gamma = 1, second block zero), whose series on each step is the Cauchy
+    square of z1 - x1's.  Each interval is cut at the step boundaries, and
+    each piece is evaluated on its own step's polynomial."""
+    zx = dense.coef[:, 2] - dense.coef[:, 0]
+    integral = np.zeros_like(zx)
+    for k in range(ORDER):
+        integral[:, k + 1] = np.einsum("ij,ij->i", zx[:, :k + 1], zx[:, k::-1])
+    integral[:, 1:] /= float(cfg.alpha1) * np.arange(1, ORDER + 1)
+    cuts = np.union1d(edges, dense.lo[(dense.lo > edges[0]) & (dense.lo < edges[-1])])
+    step = np.searchsorted(dense.lo, cuts[:-1], side="right") - 1
+    tau = np.stack([cuts[:-1], cuts[1:]]) - dense.t0[step]
+    v = np.zeros_like(tau)
+    for ck in integral[step, :0:-1].T:  # orders ORDER..1: Horner, the constant is 0
+        v = (v + ck) * tau
+    return np.add.reduceat(v[1] - v[0], np.searchsorted(cuts, edges[:-1]))
+
+
 def lyapunov_report(cfg: ChainConfig, traj: Trajectory) -> dict:
-    """Monotonicity of phi0 along a trajectory.  phi0 is strictly increasing
-    along the heteroclinic, but near the endpoints the increments fall below
-    double-precision resolution, so the report distinguishes resolvable
-    increments (which must all be strictly positive) from round-off noise
-    (which must stay above -5e-13)."""
+    """phi0 at both ends of a trajectory of `integrate`, and its smallest
+    gain between samples.  nu(phi0) >= 0 vanishes on an interval only where
+    the flow is stationary, so a gain <= 0 is a numerical failure; the three
+    booleans, kept for schema-1 readers, are true in every report returned."""
+    gains = phi0_gains(cfg, traj.meta["dense"], traj.times)
+    if np.any(gains <= 0):
+        raise FlowError(f"phi0 does not increase after t = {traj.times[np.argmax(gains <= 0)]}")
     phi0_fn = chain_phi0(cfg).compiled()
-    phis = np.array([phi0_fn(s) for s in traj.states])
-    inc = np.diff(phis)
-    resolvable = inc[np.abs(inc) > 1e-12]
-    return {
-        "phi0_start": float(phis[0]),
-        "phi0_end": float(phis[-1]),
-        "min_increment": float(np.min(inc)),
-        "resolvable_all_positive": bool(np.all(resolvable > 0)) if len(resolvable) else True,
-        "no_decrease_beyond_roundoff": bool(np.all(inc > -5e-13)),
-        "strictly_increasing": bool(np.all(resolvable > 0) and np.all(inc > -5e-13)
-                                    and phis[-1] > phis[0]),
-    }
+    return {"phi0_start": float(phi0_fn(traj.states[0])), "phi0_end": float(phi0_fn(traj.states[-1])),
+            "min_increment": float(np.min(gains)), "resolvable_all_positive": True,
+            "no_decrease_beyond_roundoff": True, "strictly_increasing": True}
 
 
 # -------------------------------------------------------------------- cascade
@@ -483,25 +492,27 @@ class CascadeReport:
     case: str  # generic | y_nonzero_degenerate | fully_degenerate
 
 
+def point_case(cfg: ChainConfig, point: Sequence[float]) -> str:
+    """generic (z != x), y_nonzero_degenerate (z = x, y != 0) or
+    fully_degenerate (z = x, y = 0), each to 1e-12."""
+    space = cfg.space
+    pt = {name: float(v) for name, v in zip(space.names, point)}
+    blocks = [(j, i) for j in (1, 2) for i in range(cfg.n)]
+    if max(abs(pt[chain_var(space, "z", j, i)] - pt[chain_var(space, "x", j, i)])
+           for j, i in blocks) > 1e-12:
+        return "generic"
+    if max(abs(pt[chain_var(space, "y", j, i)]) for j, i in blocks) > 1e-12:
+        return "y_nonzero_degenerate"
+    return "fully_degenerate"
+
+
 def cascade_check(cfg: ChainConfig, point: Sequence[float]) -> CascadeReport:
     """Classify a point and evaluate the derivative cascade nu^k(phi0)."""
     if cfg.gamma != 1:
         raise UnsupportedConfig("the cascade identities are implemented for gamma = 1")
-    space = cfg.space
-    phi0 = chain_phi0(cfg)
-    iterates = nu_iterates(cfg, phi0, 5)
-    pt = {name: float(v) for name, v in zip(space.names, point)}
-    values = tuple(p.evaluate(pt) for p in iterates)
-    zx = max(abs(pt[chain_var(space, "z", j, i)] - pt[chain_var(space, "x", j, i)])
-             for j in (1, 2) for i in range(cfg.n))
-    ynorm = max(abs(pt[chain_var(space, "y", j, i)]) for j in (1, 2) for i in range(cfg.n))
-    if zx > 1e-12:
-        case = "generic"
-    elif ynorm > 1e-12:
-        case = "y_nonzero_degenerate"
-    else:
-        case = "fully_degenerate"
-    return CascadeReport(tuple(float(v) for v in point), values, case)
+    pt = {name: float(v) for name, v in zip(cfg.space.names, point)}
+    values = tuple(p.evaluate(pt) for p in nu_iterates(cfg, chain_phi0(cfg), 5))
+    return CascadeReport(tuple(float(v) for v in point), values, point_case(cfg, point))
 
 
 # ------------------------------------------------------------- quintic probe
@@ -516,33 +527,22 @@ def quintic_bound_probe(cfg: ChainConfig, points: Sequence[Sequence[float]]) -> 
     leading power law on the first samples: slope near 1 at generic points,
     3 on {z=x, y!=0}, 5 on {z=x, y=0, dW0!=0}.
 
-    Delta' = nu(phi0) = (z1 - x1)^2/alpha1 on the first block (gamma = 1),
-    so on each step of `integrate` Delta's series is the term-by-term
-    integral of the Cauchy square of the series of z1 - x1, plus the
-    increments of the earlier steps.  At the degenerate points its leading
-    coefficients nu^k(phi0)(x)/k! come without cancellation, so Delta is
-    resolved at every sample time, down to ~1e-22 at t = 1e-4 on {z = x,
-    y = 0}.  Any Delta <= 0 is a numerical failure."""
+    Delta sums the `phi0_gains` up to each sample time.  Their series'
+    leading coefficients nu^k(phi0)(x)/k! come without cancellation, so Delta
+    is resolved down to ~1e-22 at t = 1e-4 on {z = x, y = 0}.  Any Delta <= 0
+    is a numerical failure."""
     ts = np.geomspace(1e-4, PROBE_T_MAX, PROBE_SAMPLES)
     out = []
     for point in points:
-        # cascade_check refuses gamma != 1, and integrate refuses n != 1 and a
-        # nonzero second block, before any step
-        case = cascade_check(cfg, point).case
+        # refused before any step: n != 1, gamma != 1, a nonzero second block
         dense = integrate(cfg, point, (0.0, PROBE_T_MAX)).meta["dense"]
-        zx = dense.coef[:, 2] - dense.coef[:, 0]
-        coef = np.zeros((len(zx), 1, ORDER + 1))
-        coef[:, 0, 1:] = ([np.convolve(c, c)[:ORDER] for c in zx]
-                          / (float(cfg.alpha1) * np.arange(1, ORDER + 1)))
-        for i in range(1, len(zx)):
-            coef[i, 0, 0] = _horner(coef[i - 1, 0], dense.t0[i] - dense.t0[i - 1])
-        deltas = Segments(dense.t0, dense.lo, coef, (0,), 1)(ts)[0]
+        deltas = np.cumsum(phi0_gains(cfg, dense, np.concatenate([[0.0], ts])))
         if np.any(deltas <= 0):
             raise FlowError(f"Lyapunov increment non-positive at t={ts[deltas <= 0][0]} "
                             f"from {point}")
         fit = ts <= 4.5 * ts[0]
         slope = np.polyfit(np.log(ts[fit]), np.log(deltas[fit]), 1)[0]
-        out.append({"point": [float(v) for v in point], "case": case,
+        out.append({"point": [float(v) for v in point], "case": point_case(cfg, point),
                     "slope": float(slope), "C_witness": float(np.max(ts ** 5 / deltas)),
                     "min_delta": float(np.min(deltas))})
     return out

@@ -102,18 +102,6 @@ def critical_points(W0: Poly, xvars: Sequence[str]) -> list[tuple[float, ...]]:
 
 # ----------------------------------------------------------- linearization
 
-def linearization_N(w_block_hessian: np.ndarray) -> np.ndarray:
-    """The 3n x 3n Jacobian of the drift at a stationary point, gamma = 1,
-    coordinate order (x, y, z)."""
-    H = np.atleast_2d(np.asarray(w_block_hessian, dtype=float))
-    n = H.shape[0]
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    return np.block([[zero, eye, zero],
-                     [-H - eye, zero, eye],
-                     [-eye, zero, eye]])
-
-
 def eigenvector(lam: complex) -> np.ndarray:
     """The eigenvector (1, lambda, 1/(1-lambda)) of N for n = 1 and a root
     lambda of the cubic, coordinate order (x, y, z)."""

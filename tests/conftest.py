@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import Phase, settings
 from hypothesis import strategies as st
@@ -84,3 +85,16 @@ def as_sympy(p: Poly, sympy):
     return sympy.Add(*[sympy.Rational(c.numerator, c.denominator) * h ** hp
                        * sympy.Mul(*[x ** e for x, e in zip(xs, exps)])
                        for (exps, hp), c in p.terms.items()])
+
+
+def linearization_N(w_block_hessian) -> np.ndarray:
+    """The 3n x 3n Jacobian of the drift at a stationary point, gamma = 1,
+    coordinate order (x, y, z): the oracle for `spectral.cubic_roots` and
+    `spectral.eigenvector`."""
+    H = np.atleast_2d(np.asarray(w_block_hessian, dtype=float))
+    n = H.shape[0]
+    eye = np.eye(n)
+    zero = np.zeros((n, n))
+    return np.block([[zero, eye, zero],
+                     [-H - eye, zero, eye],
+                     [-eye, zero, eye]])

@@ -55,8 +55,10 @@ def test_usage_errors(capsys):
     assert rc == EXIT_USAGE
     rc, _ = run(capsys, "flow", "--config", "chain_unequal", "--tol-overrides", "bogus=1")
     assert rc == EXIT_USAGE
-    # non-finite numbers are usage errors, refused before any computation
-    for argv in (["spectral", "--w-grid", "nan,1"], ["spectral", "--w-grid=0:inf:3"]):
+    # non-finite numbers and an empty list are usage errors, refused before
+    # any computation
+    for argv in (["spectral", "--w-grid", "nan,1"], ["spectral", "--w-grid=0:inf:3"],
+                 ["spectral", "--w-grid=,"]):
         rc, _ = run(capsys, *argv)
         assert rc == EXIT_USAGE, argv
     for tol in ("nan", "inf", "-1"):
@@ -218,6 +220,7 @@ def test_flow_command(tmp_path, capsys):
     assert rc == EXIT_OK
     rep = json.loads(out.read_text())
     assert rep["lyapunov"]["strictly_increasing"] is True
+    assert rep["lyapunov"]["min_increment"] > 0
     assert rep["endpoint_residual_minimum"] < 1e-6
     assert (tmp_path / "flow.csv").exists()
 
@@ -367,16 +370,38 @@ def test_slow_wells_within_budget(tmp_path, capsys, W1):
     path = _unequal_with(tmp_path, W1=W1)
     rc, rep = run(capsys, "flow", "--config", path)
     assert rc == EXIT_OK and rep["lyapunov"]["strictly_increasing"]
+    assert rep["lyapunov"]["min_increment"] > 0
     rc, rep = run(capsys, "obstruct", "--config", path)
     assert rc == EXIT_OK and rep["obstruction"]["verdict"] == "nonsmooth_at_saddle"
 
 
-def test_numerical_failure_exits_3(capsys):
+def test_numerical_failure_exits_3(capsys, monkeypatch):
     # a tolerance the integrator cannot reach is a failure of the numerics,
     # not a mathematical negative
     assert main(["flow", "--config", "chain_unequal",
                  "--tol-overrides", "endpoint_tol=1e-300"]) == EXIT_NUMERIC
     assert "did not reach the minimum" in capsys.readouterr().err
+    # so is an orbit along which phi0 does not increase: this one rests at
+    # the minimum, where z1 = x1 throughout
+    from susyfact import flow
+    from susyfact.models import default_chain_config
+    still = flow.integrate(default_chain_config(), [1.0, 0.0, 1.0, 0.0, 0.0, 0.0], (0.0, 1.0))
+    monkeypatch.setattr(flow, "heteroclinic_gamma1", lambda cfg, endpoint_tol: still)
+    assert main(["flow", "--config", "chain_unequal"]) == EXIT_NUMERIC
+    assert "does not increase" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, W1", [
+    ("chain_equal", None),
+    ("chain_unequal", "1/16*x1^4 - 1/2*x1^2 + 1"),
+    ("chain_unequal", "x1^4 - 2/25*x1^2 + 1/625"),
+], ids=["chain_equal", "wells-pm2", "wells-pm02"])
+def test_flow_min_increment_positive(tmp_path, capsys, config, W1):
+    # phi0's smallest gain between samples is an integral of nu(phi0) >= 0,
+    # not a difference of phi0 at two samples, which round-off can make
+    # negative
+    rc, rep = run(capsys, "flow", "--config", _unequal_with(tmp_path, W1=W1) if W1 else config)
+    assert rc == EXIT_OK and rep["lyapunov"]["min_increment"] > 0
 
 
 def test_obstruct_equal_temperature(tmp_path):

@@ -8,10 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from susyfact.flow import (PROBE_SAMPLES, PROBE_T_MAX, cascade_check, gamma1_interpolant,
-                           heteroclinic_gamma1, integrate, lyapunov_report,
-                           nu_apply, nu_components, nu_iterates,
-                           quintic_bound_probe, stationary_points)
+from susyfact.flow import (PROBE_SAMPLES, PROBE_T_MAX, FlowError, cascade_check,
+                           gamma1_interpolant, heteroclinic_gamma1, integrate,
+                           lyapunov_report, nu_apply, nu_components, nu_iterates,
+                           phi0_gains, quintic_bound_probe, stationary_points)
 from susyfact.models import ChainConfig, UnsupportedConfig, chain_phi0, default_chain_config
 from susyfact.polyalg import Poly, parse_poly
 
@@ -245,6 +245,32 @@ def test_lyapunov_monotone(cfg, gamma1):
     assert rep["phi0_end"] > rep["phi0_start"]
     assert rep["resolvable_all_positive"]
     assert rep["no_decrease_beyond_roundoff"]
+
+
+@pytest.mark.parametrize("name", list(ORBIT_CONFIGS))
+def test_phi0_gains_match_phi0_differences(cfg, name):
+    # the integrals of nu(phi0) agree with the differences of phi0 at the
+    # samples, and add up to its increase over the orbit; unlike those
+    # differences, which round-off makes negative, every one is positive
+    conf = ChainConfig(1, parse_poly(cfg.space, ORBIT_CONFIGS[name][0]), cfg.W2, cfg.deltaW,
+                       cfg.alpha1, cfg.alpha2, cfg.gamma)
+    traj = heteroclinic_gamma1(conf)
+    gains = phi0_gains(conf, traj.meta["dense"], traj.times)
+    phi0 = chain_phi0(conf).compiled()
+    phis = np.array([phi0(s) for s in traj.states])
+    assert np.max(np.abs(gains - np.diff(phis))) <= 1e-14
+    rep = lyapunov_report(conf, traj)
+    rise = rep["phi0_end"] - rep["phi0_start"]
+    assert abs(gains.sum() - rise) <= 1e-14 * rise
+    assert rep["min_increment"] == gains.min() > 0
+
+
+def test_lyapunov_report_refuses_a_zero_gain(cfg):
+    # from the minimum z1 = x1 for all time, so nu(phi0) vanishes on every
+    # interval: on an orbit that moves, a zero gain is a numerical failure
+    traj = integrate(cfg, [1.0, 0.0, 1.0, 0.0, 0.0, 0.0], (0.0, 1.0), n_samples=5)
+    with pytest.raises(FlowError, match="does not increase"):
+        lyapunov_report(cfg, traj)
 
 
 def test_gamma1_interpolant(cfg, gamma1):

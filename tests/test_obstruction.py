@@ -16,9 +16,9 @@ from susyfact.flow import gamma1_interpolant, heteroclinic_gamma1, nu_apply
 from susyfact.models import (ChainConfig, chain_phi0, chain_var, default_chain_config,
                              hamiltonian_p)
 from susyfact.polyalg import Poly, parse_poly
-from susyfact.spectral import eigenvector, linearization_N
+from susyfact.spectral import eigenvector
 
-from conftest import as_sympy
+from conftest import as_sympy, linearization_N
 
 
 @pytest.fixture(scope="module")

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from susyfact.polyalg import VarSpace, parse_poly
 from susyfact.spectral import (F, F_critical_point, G, classify_roots,
-                               critical_points, cubic_roots, linearization_N,
+                               critical_points, cubic_roots,
                                real_roots_univariate, w_grid_report)
+
+from conftest import linearization_N
 
 
 def cubic_residual(w: float) -> float:

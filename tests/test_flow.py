@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from susyfact.flow import (PROBE_SAMPLES, PROBE_T_MAX, FlowError, cascade_check,
+from susyfact.flow import (ORDER, PROBE_SAMPLES, PROBE_T_MAX, STEP_EPS, FlowError, cascade_check,
                            gamma1_interpolant, heteroclinic_gamma1, integrate,
                            lyapunov_report, nu_apply, nu_components, nu_iterates,
                            phi0_gains, quintic_bound_probe, stationary_points)
@@ -359,3 +361,100 @@ def test_integrate_events_and_direction(cfg):
                      n_samples=50)
     assert len(traj.times) == 50
     assert np.all(np.diff(traj.times) > 0)
+
+
+# ------------------------------------------------------- pinned integration
+
+# Per orbit: Taylor steps, both event times and both endpoint residuals as
+# float.hex, and the sha256 of the dense output's coefficients; any change
+# to how `integrate` steps or locates events must leave them bit-identical.
+PINNED_ORBITS = {
+    "bundled": (111, "-0x1.e4097800a307bp+6", "0x1.c133a0eade7afp+1",
+                "0x1.ad7f29af4817dp-24", "0x1.ad7f29abcaf68p-24",
+                "38c1687e32c1cb813dfafddbdd40546e0c1706e5d0c813db821ed39411c01abe"),
+    "wells-pm2": (114, "-0x1.fa3f7092ea44cp+6", "0x1.1b5e01395e487p+2",
+                  "0x1.ad7f29ad02d81p-24", "0x1.ad7f29abcafaep-24",
+                  "6cd7166c3e16499a2f12463c60d0de9cecdd5834e7bd817d336cae7a4f555787"),
+    "deep-well": (4030, "-0x1.03faaba3a1cd4p+10", "0x1.5bdab40e386b7p-1",
+                  "0x1.ad7f29a869980p-24", "0x1.ad7f29abcafb6p-24",
+                  "a78bd8e5b8d8deb3653e5e9cb5abffcc9fedf85a494c802d2e104e8c75d8111a"),
+    "sextic": (1536, "-0x1.0e455372e156ep+9", "0x1.19458072d9663p+1",
+               "0x1.ad7f29a82cc94p-24", "0x1.ad7f29abcaf7bp-24",
+               "673bdf35ffa8ddea698d7586be7b8b471d859bbd8ede5948fc52f1fffab544aa"),
+}
+PINNED_PROBES = [(1, "48c0869b5a610584771bd5630043fcefb79d228417870731bec595f9a6aa8a16"),
+                 (2, "b70a729dbd8227b5c559091c6c5a1ffde9abe8244665ed5a3f99332839f38797"),
+                 (1, "b3ae7ff1ae12288d998f345d429dce682b8a2ca208e94a25fd3d373880f454d9")]
+
+
+def _coef_digest(dense):
+    return hashlib.sha256(np.ascontiguousarray(dense.coef).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(ORBIT_CONFIGS))
+def test_orbit_pinned(cfg, name):
+    conf = ChainConfig(1, parse_poly(cfg.space, ORBIT_CONFIGS[name][0]), cfg.W2, cfg.deltaW,
+                       cfg.alpha1, cfg.alpha2, cfg.gamma)
+    traj = heteroclinic_gamma1(conf)
+    dense = traj.meta["dense"]
+    got = (len(dense.t0), float(traj.times[0]).hex(), float(traj.times[-1]).hex(),
+           traj.meta["endpoint_residual_minimum"].hex(),
+           traj.meta["endpoint_residual_saddle"].hex(), _coef_digest(dense))
+    assert got == PINNED_ORBITS[name]
+
+
+def test_probe_steps_pinned(cfg):
+    for point, pinned in zip(PROBE_POINTS, PINNED_PROBES):
+        dense = integrate(cfg, point, (0.0, PROBE_T_MAX)).meta["dense"]
+        assert (len(dense.t0), _coef_digest(dense)) == pinned
+
+
+# Step series, each starting from x1 = y1 = z1 = 0: x1 = tau + C24 tau^24 of
+# length 1/2 (set by C24), which enters BALL (radius 1e-7 around x1 = 2e-7)
+# at tau = 1e-7 and ends finite; one whose order-24 coefficient is infinite,
+# so its length underflows to 0; one whose x1 is NaN at its end; and
+# x1 = tau + 1.85e304 tau^2, which has no order 23 or 24, so it runs to the
+# end of the span, enters BALL and overflows at its end.
+ENTRY_STEP = [[0.0, 1.0] + [0.0] * 22 + [STEP_EPS / 0.5 ** ORDER], [0.0] * 25, [0.0] * 25]
+UNDERFLOW_STEP = [[0.0] * 24 + [math.inf], [0.0] * 25, [0.0] * 25]
+NAN_STEP = [[0.0, math.nan] + [0.0] * 23, [0.0] * 25, [0.0] * 25]
+OVERFLOW_ENTRY_STEP = [[0.0, 1.0, 1.85e304] + [0.0] * 22, [0.0] * 25, [0.0] * 25]
+BALL = (np.array([2e-7, 0.0, 0.0, 0.0, 0.0, 0.0]), 1e-7)
+
+
+def _stepping(monkeypatch, steps):
+    """Make `integrate` take the given step series in turn, then the last
+    one again and again."""
+    series = itertools.chain(steps, itertools.repeat(steps[-1]))
+    monkeypatch.setattr("susyfact.flow._taylor_coefficients",
+                        lambda x, y, z, p: [list(s) for s in next(series)])
+
+
+@pytest.mark.parametrize("after", [UNDERFLOW_STEP, NAN_STEP], ids=["underflow", "nan"])
+def test_failure_after_the_entry_step_returns_the_hit(cfg, monkeypatch, after):
+    # the integration ends at the entry, so a step after it cannot fail it
+    from susyfact.flow import _entry_time
+    _stepping(monkeypatch, [ENTRY_STEP, after])
+    traj = integrate(cfg, [0.0] * 6, (0.0, 10.0), n_samples=5, stop_near=BALL)
+    h = (STEP_EPS / ENTRY_STEP[0][ORDER]) ** (1.0 / ORDER)
+    assert traj.meta["terminated_by_event"]
+    assert len(traj.meta["dense"].t0) == 1
+    assert traj.times[-1] == _entry_time(ENTRY_STEP, h, [2e-7, 0.0, 0.0], 1e-7)
+    assert abs(traj.times[-1] - 1e-7) < 1e-12
+
+
+# x1 only grows on ENTRY_STEP, so it never enters this ball
+BALL_BEHIND = (np.array([-5.0, 0.0, 0.0, 0.0, 0.0, 0.0]), 1e-7)
+
+
+@pytest.mark.parametrize("steps, ball, match", [
+    ([UNDERFLOW_STEP], BALL, "underflowed at t = 0.0"),
+    ([ENTRY_STEP, ENTRY_STEP, UNDERFLOW_STEP], BALL_BEHIND, "underflowed at t = 1.0"),
+    ([OVERFLOW_ENTRY_STEP], BALL, "not finite at t = 100.0"),
+], ids=["underflow-first", "underflow-before-any-entry", "overflow-on-entry"])
+def test_failure_before_or_on_the_entry_step_raises(cfg, monkeypatch, steps, ball, match):
+    # a failure that no entry precedes raises, and so does a state that is
+    # not finite at the end of the entry step itself
+    _stepping(monkeypatch, steps)
+    with pytest.raises(FlowError, match=match):
+        integrate(cfg, [0.0] * 6, (0.0, 100.0), n_samples=5, stop_near=ball)

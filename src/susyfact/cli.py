@@ -217,6 +217,10 @@ def cmd_verify_models(args) -> int:
     return EXIT_MATH if bad else EXIT_OK
 
 
+# the most points `spectral --w-grid start:stop:count` reports on
+W_GRID_MAX = 100_000
+
+
 def _parse_w_grid(text: Optional[str]) -> list[float]:
     if not text:
         # default: 200 points spanning the classification regimes
@@ -229,8 +233,8 @@ def _parse_w_grid(text: Optional[str]) -> list[float]:
             a, b, num = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             raise UsageError(f"bad --w-grid {text!r}")
-        if num < 2:
-            raise UsageError("--w-grid count must be at least 2")
+        if not 2 <= num <= W_GRID_MAX:
+            raise UsageError(f"--w-grid count must be from 2 to {W_GRID_MAX}, got {num}")
         ws = [a + (b - a) * i / (num - 1) for i in range(num)]
     else:
         try:

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 import pytest
 from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
+from susyfact.flow import nu_iterates, point_case
+from susyfact.models import ChainConfig, UnsupportedConfig, chain_phi0
 from susyfact.opcore import SecondOrderOperator
 from susyfact.polyalg import Poly, VarSpace
 
@@ -98,3 +102,21 @@ def linearization_N(w_block_hessian) -> np.ndarray:
     return np.block([[zero, eye, zero],
                      [-H - eye, zero, eye],
                      [-eye, zero, eye]])
+
+
+@dataclass(frozen=True)
+class CascadeReport:
+    point: tuple[float, ...]
+    values: tuple[float, ...]  # nu^k(phi0) at the point, k = 1..5
+    case: str  # generic | y_nonzero_degenerate | fully_degenerate
+
+
+def cascade_check(cfg: ChainConfig, point: Sequence[float]) -> CascadeReport:
+    """The derivative cascade nu^k(phi0), k = 1..5, built exactly and
+    evaluated at a point, and the point's class: the oracle of the quintic
+    probe's Delta at its first sample."""
+    if cfg.gamma != 1:
+        raise UnsupportedConfig("the cascade identities are implemented for gamma = 1")
+    pt = {name: float(v) for name, v in zip(cfg.space.names, point)}
+    values = tuple(p.evaluate(pt) for p in nu_iterates(cfg, chain_phi0(cfg), 5))
+    return CascadeReport(tuple(float(v) for v in point), values, point_case(cfg, point))

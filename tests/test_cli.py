@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from susyfact.cli import (EXIT_MATH, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, canonical_json, main)
+from susyfact.cli import (EXIT_MATH, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, W_GRID_MAX, _parse_w_grid,
+                          canonical_json, main)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -55,12 +56,14 @@ def test_usage_errors(capsys):
     assert rc == EXIT_USAGE
     rc, _ = run(capsys, "flow", "--config", "chain_unequal", "--tol-overrides", "bogus=1")
     assert rc == EXIT_USAGE
-    # non-finite numbers and an empty list are usage errors, refused before
-    # any computation
+    # non-finite numbers, an empty list and a count past W_GRID_MAX are usage
+    # errors, refused before any computation
     for argv in (["spectral", "--w-grid", "nan,1"], ["spectral", "--w-grid=0:inf:3"],
-                 ["spectral", "--w-grid=,"]):
+                 ["spectral", "--w-grid=,"], ["spectral", f"--w-grid=0:1:{W_GRID_MAX + 1}"],
+                 ["spectral", "--w-grid=0:1:1000000000"]):
         rc, _ = run(capsys, *argv)
         assert rc == EXIT_USAGE, argv
+    assert len(_parse_w_grid(f"0:1:{W_GRID_MAX}")) == W_GRID_MAX
     for tol in ("nan", "inf", "-1"):
         rc, _ = run(capsys, "flow", "--config", "chain_unequal",
                     "--tol-overrides", f"endpoint_tol={tol}")

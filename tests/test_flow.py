@@ -10,12 +10,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from susyfact.flow import (ORDER, PROBE_SAMPLES, PROBE_T_MAX, STEP_EPS, FlowError, cascade_check,
-                           gamma1_interpolant, heteroclinic_gamma1, integrate,
-                           lyapunov_report, nu_apply, nu_components, nu_iterates,
-                           phi0_gains, quintic_bound_probe, stationary_points)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from susyfact.flow import (ORDER, PROBE_SAMPLES, PROBE_T_MAX, STEP_EPS, FlowError, _first_entry,
+                           _horner, _screened_out, _taylor_coefficients, gamma1_interpolant,
+                           heteroclinic_gamma1, integrate, lyapunov_report, nu_apply,
+                           nu_components, nu_iterates, phi0_gains, quintic_bound_probe,
+                           stationary_points)
 from susyfact.models import ChainConfig, UnsupportedConfig, chain_phi0, default_chain_config
 from susyfact.polyalg import Poly, parse_poly
+
+from conftest import NO_SHRINK_PHASES, cascade_check
 
 
 @pytest.fixture(scope="module")
@@ -458,3 +464,41 @@ def test_failure_before_or_on_the_entry_step_raises(cfg, monkeypatch, steps, bal
     _stepping(monkeypatch, steps)
     with pytest.raises(FlowError, match=match):
         integrate(cfg, [0.0] * 6, (0.0, 100.0), n_samples=5, stop_near=ball)
+
+
+@st.composite
+def _steps_near_a_ball(draw):
+    """A step of the flow of a well a (x1^2 - b^2)^2 from near one of its
+    stationary points, where it moves slowly, and a ball whose center lies
+    tol (1 +- 1e-9) from the step's polynomial at some tau, tol its radius;
+    half of the time the center lies about along the velocity at tau."""
+    a, b = draw(st.floats(0.05, 5.0)), draw(st.floats(0.2, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x0 = b * draw(st.sampled_from([-1.0, 0.0, 1.0]))
+    delta = draw(st.sampled_from([0.0, 1.0])) * 10.0 ** draw(st.floats(-14.0, -1.0))
+    series = _taylor_coefficients(*(np.array([x0, 0.0, x0]) + delta * rng.normal(size=3)),
+                                  [0.0, -4.0 * a * b * b, 0.0, 4.0 * a])
+    top = max(abs(s[ORDER]) for s in series)
+    h = min(10.0, (STEP_EPS / top) ** (1.0 / ORDER) if top else 10.0)
+    h *= draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.3, 1.0))
+    # a radius below how far the step moves makes the tests on pieces tight
+    moved = np.linalg.norm([_horner(c, h) - c[0] for c in series])
+    tol = max(moved, 1e-14) * 10.0 ** draw(st.floats(-3.0, 0.0))
+    tau = h * draw(st.floats(0.0, 1.0))
+    velocity = np.array([_horner([k * ck for k, ck in enumerate(c)][1:], tau) for c in series])
+    u = (rng.normal(size=3) + draw(st.sampled_from([0.0, 10.0])) * velocity
+         / max(np.linalg.norm(velocity), 1e-300))
+    center = ([_horner(c, tau) for c in series]
+              + tol * draw(st.sampled_from([1 - 1e-9, 1 + 1e-9])) * u / np.linalg.norm(u))
+    return series, h, center, tol
+
+
+@given(_steps_near_a_ball())
+@settings(max_examples=150, deadline=None, phases=NO_SHRINK_PHASES)
+def test_screen_passes_over_only_steps_without_an_entry(case):
+    series, h, center, tol = case
+    q = np.array(series)
+    q[:, 0] -= center
+    if _screened_out(q[None], np.array([h]), tol)[0]:
+        start = float(np.linalg.norm(q[:, 0]))
+        assert _first_entry(q, 0.0, h, tol, start > tol) == (None, True)

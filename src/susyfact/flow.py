@@ -161,12 +161,13 @@ class Segments:
         out = np.zeros((self.dim, len(ts)))
         rows = list(self.index)
         # the steps' coefficients are gathered GATHER_BLOCK times at a time,
-        # so that a long scan makes no (k, 3, ORDER + 1) temporary
+        # so that a long scan makes no (k, 3, ORDER + 1) temporary, and
+        # order first, so that each Horner step reads contiguous memory
         for b in range(0, len(ts), GATHER_BLOCK):
-            c = self.coef[i[b:b + GATHER_BLOCK]]
-            v = c[:, :, ORDER]
+            c = self.coef[i[b:b + GATHER_BLOCK]].transpose(2, 0, 1).copy()
+            v = c[ORDER]
             for k in range(ORDER - 1, -1, -1):
-                v = v * tau[b:b + GATHER_BLOCK] + c[:, :, k]
+                v = v * tau[b:b + GATHER_BLOCK] + c[k]
             out[rows, b:b + GATHER_BLOCK] = v.T
         return out[:, 0] if t.ndim == 0 else out
 

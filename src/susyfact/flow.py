@@ -25,17 +25,18 @@ STEP_EPS max(1, |state|).  The steps are the dense output, and the terminal
 event (the first entry into the endpoint ball) is located on their
 polynomials, so a dip into the ball and out again within one step is not
 missed.  The search runs on SCREEN_CHUNK steps at a time: one vectorized
-screen re-expands their polynomials about the EVENT_PIECES piece centres
+screen re-expands their polynomials about the EVENT_PIECES piece centers
 of the search and passes over each step that stays outside the ball on
 every piece, by SCREEN_MARGIN; the others are searched in order, and the
 first entry drops the steps after it.  The orbit is thus bit-identical to a
 search of every step.  Each leg's time budget follows from the
-linearizations at the saddle and at the minimum.  On the bundled chain the event times are within
-1.1e-9 (backward) and 3e-14 (forward) of a 40-digit Taylor integration from
-the same seed; tests/test_flow.py holds the orbit to 1e-10 of a tight DOP853
-solve on four double wells.  `lyapunov_report` and `quintic_bound_probe`
-take the increase of phi0 along the same steps from `phi0_gains`, which
-integrates the identity nu(phi0) = (z1 - x1)^2/alpha1 on them.
+linearizations at the saddle and at the minimum.  On the bundled chain the
+event times are within 1.1e-9 (backward) and 3e-14 (forward) of a 40-digit
+Taylor integration from the same seed; tests/test_flow.py holds the orbit
+to 1e-10 of a tight DOP853 solve on four double wells.  `lyapunov_report`
+and `quintic_bound_probe` take the increase of phi0 along the same steps
+from `phi0_gains`, which integrates the identity nu(phi0) =
+(z1 - x1)^2/alpha1 on them.
 """
 
 from __future__ import annotations
@@ -367,8 +368,8 @@ def integrate(cfg: ChainConfig, state0: Sequence[float], t_span: tuple[float, fl
                 break
             done += 1
             t = t_next
-        # the entry, searched in order on the steps the screen does not pass
-        # over; a step that fails, or ends non-finite, ends the search first
+        # the finite steps are searched in order, but for those the screen
+        # passes over; a failure after them raises only if none holds the entry
         if stop_near is not None and done > first:
             q = np.array(coefs[first:done])
             q[:, :, 0] -= center

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susyfact.flow import (ORDER, PROBE_SAMPLES, PROBE_T_MAX, STEP_EPS, FlowError, _first_entry,
-                           _horner, _screened_out, _taylor_coefficients, gamma1_interpolant,
-                           heteroclinic_gamma1, integrate, lyapunov_report, nu_apply,
-                           nu_components, nu_iterates, phi0_gains, quintic_bound_probe,
-                           stationary_points)
+from susyfact.flow import (ORDER, PROBE_SAMPLES, PROBE_T_MAX, STEP_EPS, FlowError, _entry_time,
+                           _first_entry, _horner, _screened_out, _taylor_coefficients,
+                           gamma1_interpolant, heteroclinic_gamma1, integrate, lyapunov_report,
+                           nu_apply, nu_components, nu_iterates, phi0_gains,
+                           quintic_bound_probe, stationary_points)
 from susyfact.models import ChainConfig, UnsupportedConfig, chain_phi0, default_chain_config
 from susyfact.polyalg import Poly, parse_poly
 
@@ -440,7 +440,6 @@ def _stepping(monkeypatch, steps):
 @pytest.mark.parametrize("after", [UNDERFLOW_STEP, NAN_STEP], ids=["underflow", "nan"])
 def test_failure_after_the_entry_step_returns_the_hit(cfg, monkeypatch, after):
     # the integration ends at the entry, so a step after it cannot fail it
-    from susyfact.flow import _entry_time
     _stepping(monkeypatch, [ENTRY_STEP, after])
     traj = integrate(cfg, [0.0] * 6, (0.0, 10.0), n_samples=5, stop_near=BALL)
     h = (STEP_EPS / ENTRY_STEP[0][ORDER]) ** (1.0 / ORDER)

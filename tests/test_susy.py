@@ -7,13 +7,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from susyfact import susy
 from susyfact.cli import canonical_json
 from susyfact.models import ChainConfig, make_chain, reference_bundles
-from susyfact.opcore import SecondOrderOperator, identity_matrix, laplacian
+from susyfact.opcore import SecondOrderOperator, divergence, identity_matrix, laplacian
 from susyfact.polyalg import Poly, VarSpace, parse_poly
 from susyfact.susy import (SusyStructure, assemble_factorization, check_necessary,
                            construct, verify_reference_structures,
@@ -449,6 +449,109 @@ def test_weighted_divergence_solve_round_trip(problem, semiclassical):
             dC = C[j][k].partial(sp.names[j])
             image = image + (dC.h_shift(1) if semiclassical else dC) - g_poly[j] * C[j][k]
         assert image == vt_poly[k]
+
+
+def _full_system_solve(sp: VarSpace, g: list[Poly], vtilde: list[Poly],
+                       semiclassical: bool):
+    """Reference for `_weighted_divergence_solve`: the same ladder of caps,
+    basis and column order, but each column is the weighted divergence of
+    its unknown C_ab = x^e h^r (C_ba = -C_ab) taken by `opcore.divergence`,
+    and every equation of the system is solved at once."""
+    n = sp.n
+    zero = Poly.zero(sp)
+    deg_v = max(p.total_degree() for p in vtilde)
+    deg_g = max(p.total_degree() for p in g)
+    hmax = max(p.max_hpow() for p in vtilde) + 1
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    for cap in sorted({max(0, deg_v - deg_g + 1), deg_v, deg_v + 2}):
+        unknowns = [(pair, key) for pair in pairs for key in susy._monomial_basis(sp, cap, hmax)]
+        eq_rows: dict = {(k, tk): {} for k in range(n) for tk in vtilde[k].terms}
+        for col, ((a, b), key) in enumerate(unknowns):
+            for k, j, c in ((b, a, 1), (a, b, -1)):
+                column_k = [zero] * n
+                column_k[j] = Poly(sp, {key: c})
+                for tk, v in divergence(sp, column_k, semiclassical, g).terms.items():
+                    eq_rows.setdefault((k, tk), {})[col] = v
+        keys = sorted(eq_rows)
+        sol = susy._solve_linear_fraction([eq_rows[k] for k in keys],
+                                          [vtilde[k].terms.get(tk, Fraction(0)) for k, tk in keys],
+                                          len(unknowns))
+        if sol is None:
+            continue
+        C = [[zero] * n for _ in range(n)]
+        for (a, b) in pairs:
+            C[a][b] = Poly(sp, {key: c for (pair, key), c in zip(unknowns, sol) if pair == (a, b)})
+            C[b][a] = -C[a][b]
+        if all(divergence(sp, [C[j][k] for j in range(n)], semiclassical, g) == vtilde[k]
+               for k in range(n)):
+            return C
+    return None
+
+
+def _poly_from_terms(sp: VarSpace, terms) -> Poly:
+    out = Poly.zero(sp)
+    for mono, hp, c in terms:
+        exps = [0] * sp.n
+        for i in mono:
+            exps[i] += 1
+        out = out + Poly(sp, {(tuple(exps), hp): c})
+    return out
+
+
+@st.composite
+def _oracle_problems(draw):
+    # g = dG with G not constant; vtilde is the weighted divergence of a
+    # random antisymmetric C0 (solvable) or a random field (rarely solvable)
+    n = draw(st.integers(2, 4))
+    semiclassical = draw(st.booleans())
+    sp = VarSpace.make(NAMES[:n])
+    G = _poly_from_terms(sp, [draw(_terms(n, 3, 1, min_deg=1))]
+                         + draw(st.lists(_terms(n, 3, 1), max_size=2)))
+    g = [G.partial(name) for name in sp.names]
+    if draw(st.booleans()):
+        C0 = [[Poly.zero(sp)] * n for _ in range(n)]
+        for j in range(n):
+            for k in range(j + 1, n):
+                C0[j][k] = _poly_from_terms(sp, draw(st.lists(_terms(n, 2, 0), max_size=2)))
+                C0[k][j] = -C0[j][k]
+        vtilde = [divergence(sp, [C0[j][k] for j in range(n)], semiclassical, g)
+                  for k in range(n)]
+    else:
+        vtilde = [_poly_from_terms(sp, draw(st.lists(_terms(n, 2, 1), max_size=2)))
+                  for _ in range(n)]
+    return sp, g, vtilde, semiclassical
+
+
+def _assert_same_solution(sp, g, vtilde, semiclassical):
+    got = susy._weighted_divergence_solve(sp, g, vtilde, semiclassical)
+    want = _full_system_solve(sp, g, vtilde, semiclassical)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert [[repr(p) for p in row] for row in got] == [[repr(p) for p in row] for row in want]
+    return got
+
+
+@given(_oracle_problems())
+@settings(max_examples=60, deadline=None, phases=NO_SHRINK_PHASES)
+def test_weighted_divergence_solve_matches_full_system(problem):
+    sp, g, vtilde, semiclassical = problem
+    assume(any(not gj.is_zero for gj in g))
+    _assert_same_solution(sp, g, vtilde, semiclassical)
+
+
+def test_weighted_divergence_solve_upper_rung_and_no_solution():
+    # g = d(x1^2/2) with vtilde = (0, 0, 10 x2^9): both cap-9 rungs fail and
+    # cap 11 finds C_23 = x2^10
+    sp = VarSpace.make(NAMES[:3])
+    g = [parse_poly(sp, "x1"), Poly.zero(sp), Poly.zero(sp)]
+    vtilde = [Poly.zero(sp), Poly.zero(sp), parse_poly(sp, "10*x2^9")]
+    C = _assert_same_solution(sp, g, vtilde, False)
+    assert C[1][2] == parse_poly(sp, "x2^10")
+    assert all(C[j][k].is_zero for j in range(3) for k in range(3) if {j, k} != {1, 2})
+    # vtilde = (1, 0) is not closed: -(D_1 - x1) 1 = x1 != 0, so no C exists
+    sp = VarSpace.make(NAMES[:2])
+    g = [parse_poly(sp, "x1"), Poly.zero(sp)]
+    assert _assert_same_solution(sp, g, [Poly.const(sp, 1), Poly.zero(sp)], True) is None
 
 
 # --------------------------------------------- the unweighted divergence solve

@@ -21,8 +21,11 @@ weighted divergence equation
 
 either through the closed-form radial primitive of `extcalc` (unweighted
 case, g = 0) or through an exact bounded-degree linear solve over the
-rationals (weighted case).  Every construction is re-verified against the
-factorization identity before a verdict is issued.
+rationals (weighted case).  That solve writes only the block of its system
+that vtilde's terms reach: elimination never combines rows of different
+blocks, and a block whose right sides are all 0 solves to 0, so the rest
+of the system cannot change the solution.  Every construction is
+re-verified against the factorization identity before a verdict is issued.
 """
 
 from __future__ import annotations
@@ -234,9 +237,21 @@ def _weighted_divergence_solve(space: VarSpace, g: list[Poly], vtilde: list[Poly
     sum_j (D_j - g_j) C_{jk} = vtilde_k for all k, or None.
 
     Bounded-degree ansatz, grown over a short ladder of degree caps; each
-    candidate system is solved exactly over the rationals.  The system is
-    written from the monomial rule for the image of each unknown; the
-    solution is re-checked with `opcore.divergence`.
+    candidate system is solved exactly over the rationals and the solution
+    is re-checked with `opcore.divergence`.  The system's columns are the
+    unknowns C_ab = x^e h^r (a < b) of the cap's basis, its rows the
+    equations (k, term), written from the monomial rule for the image of
+    each unknown.
+
+    Only the block of that system which vtilde's terms reach is written:
+    starting from the rows (k, term of vtilde_k), each row brings in the
+    unknowns the monomial rule can carry to it, and each unknown the rows of
+    its image, until nothing new appears.  Elimination combines a row only
+    with pivot rows that share a column, so the other blocks never meet
+    this one; their right sides are all 0, so they are consistent and, with
+    free unknowns set to 0, back-substitute to 0.  Handing the block's rows
+    to the solver in the full system's sorted order, with each column at its
+    index in the full list of unknowns, gives the full system's solution.
     """
     n = space.n
     deg_v = max((p.total_degree() for p in vtilde), default=0)
@@ -264,24 +279,54 @@ def _weighted_divergence_solve(space: VarSpace, g: list[Poly], vtilde: list[Poly
             out.update(((k, key), c) for key, c in eq.items() if c)
         return out
 
+    def sources(k: int, exps: tuple[int, ...], hp: int):
+        """The unknowns (pair, key) whose image can reach equation k at
+        x^exps h^hp, by `image`'s rule read backwards: the D_j part from
+        x^(exps + 1_j) h^(hp - dh), the g_j part from x^(exps - e) h^(hp - r)
+        for each term x^e h^r of g_j."""
+        for j in range(n):
+            if j == k:
+                continue
+            pair = (min(j, k), max(j, k))
+            if hp >= dh:
+                yield pair, (exps[:j] + (exps[j] + 1,) + exps[j + 1:], hp - dh)
+            for (eg, hg), _ in g_terms[j]:
+                if hp >= hg and all(x >= y for x, y in zip(exps, eg)):
+                    yield pair, (tuple(x - y for x, y in zip(exps, eg)), hp - hg)
+
     for cap in ladder:
         basis = _monomial_basis(space, cap, hmax)
-        unknowns = [(pair, key) for pair in pairs for key in basis]
+        position = {key: i for i, key in enumerate(basis)}
+        # column of (pair, key) in the list [(pair, key) for pair in pairs for key in basis]
+        offset = {pair: p * len(basis) for p, pair in enumerate(pairs)}
         eq_rows: dict[tuple[int, tuple], dict[int, Fraction]] = {
             (k, tk): {} for k in range(n) for tk in vtilde[k].terms}
-        for col, ((a, b), (exps, hp)) in enumerate(unknowns):
-            for row_key, c in image(a, b, exps, hp).items():
-                eq_rows.setdefault(row_key, {})[col] = c
+        images: dict[int, dict] = {}  # column -> its image, for the block's columns
+        frontier = list(eq_rows)
+        while frontier:
+            k, (exps, hp) = frontier.pop()
+            for pair, key in sources(k, exps, hp):
+                if key not in position or (col := offset[pair] + position[key]) in images:
+                    continue
+                images[col] = image(*pair, *key)
+                for row_key in images[col]:
+                    if row_key not in eq_rows:
+                        eq_rows[row_key] = {}
+                        frontier.append(row_key)
+        cols = sorted(images)
+        for col in cols:
+            for row_key, c in images[col].items():
+                eq_rows[row_key][col] = c
         keys = sorted(eq_rows)
         rows = [eq_rows[k] for k in keys]
         rhs = [vtilde[k].terms.get(tk, Fraction(0)) for (k, tk) in keys]
-        sol = _solve_linear_fraction(rows, rhs, len(unknowns))
+        sol = _solve_linear_fraction(rows, rhs, len(pairs) * len(basis))
         if sol is None:
             continue
         terms: dict[tuple[int, int], dict] = {pair: {} for pair in pairs}
-        for (pair, key), c in zip(unknowns, sol):
-            if c:
-                terms[pair][key] = c
+        for col in cols:
+            if sol[col]:
+                terms[pairs[col // len(basis)]][basis[col % len(basis)]] = sol[col]
         C = zero_matrix(space)
         for (j, k), t in terms.items():
             C[j][k] = Poly(space, t)

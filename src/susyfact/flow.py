@@ -201,9 +201,12 @@ def _taylor_coefficients(x: float, y: float, z: float,
         z_{k+1} = (z_k - x_k)/(k+1),
 
     where P_k = sum_j p[j] (x^j)_k and the series of x^j = x x^(j-1) come
-    from Cauchy products."""
+    from Cauchy products.  A power of x past the float range is a FlowError."""
     xs, ys, zs = [x], [y], [z]
-    powers = [xs] + [[x ** j] for j in range(2, len(p))]  # powers[j-1] is x^j
+    try:
+        powers = [xs] + [[x ** j] for j in range(2, len(p))]  # powers[j-1] is x^j
+    except OverflowError:
+        raise FlowError(f"integration failed: x^{len(p) - 1} overflows at x = {x}") from None
     terms = list(zip(p[1:], powers))
     products = [(hi.append, lo) for hi, lo in zip(powers[1:], powers)]  # x^j = x x^(j-1)
     x_add, y_add, z_add = xs.append, ys.append, zs.append
@@ -350,7 +353,11 @@ def integrate(cfg: ChainConfig, state0: Sequence[float], t_span: tuple[float, fl
         first = done = len(starts)
         failure = None
         while done - first < SCREEN_CHUNK and t != t1:
-            series = _taylor_coefficients(*state, p)
+            try:
+                series = _taylor_coefficients(*state, p)
+            except FlowError as e:
+                failure = e
+                break
             eps = STEP_EPS * max(1.0, *map(abs, state))
             h = min([abs(t1 - t)] + [(eps / c) ** (1.0 / k) for k in (ORDER - 1, ORDER)
                                      if (c := max(abs(s[k]) for s in series))])
@@ -518,19 +525,22 @@ def gamma1_interpolant(traj: Trajectory) -> Callable[[np.ndarray], np.ndarray]:
 def phi0_gains(cfg: ChainConfig, dense: Segments, edges: np.ndarray) -> np.ndarray:
     """The increase of phi0 between consecutive edges (increasing times in
     the dense output's range): the integral of nu(phi0) = (z1 - x1)^2/alpha1
-    (gamma = 1, second block zero), whose series on each step is the Cauchy
-    square of z1 - x1's.  Each interval is cut at the step boundaries, and
-    each piece is evaluated on its own step's polynomial."""
+    (gamma = 1, second block zero), whose series on each step is the full
+    Cauchy square, of degree 2 ORDER, of z1 - x1's.  Each interval is cut at
+    the step boundaries, and each piece is evaluated on its own step's
+    polynomial."""
     zx = dense.coef[:, 2] - dense.coef[:, 0]
-    integral = np.zeros_like(zx)
-    for k in range(ORDER):
-        integral[:, k + 1] = np.einsum("ij,ij->i", zx[:, :k + 1], zx[:, k::-1])
-    integral[:, 1:] /= float(cfg.alpha1) * np.arange(1, ORDER + 1)
+    integral = np.zeros((len(zx), 2 * ORDER + 2))
+    for k in range(2 * ORDER + 1):
+        lo, hi = max(0, k - ORDER), min(k, ORDER)
+        integral[:, k + 1] = np.einsum("ij,ij->i", zx[:, lo:hi + 1],
+                                       zx[:, k - lo::-1][:, :hi - lo + 1])
+    integral[:, 1:] /= float(cfg.alpha1) * np.arange(1, 2 * ORDER + 2)
     cuts = np.union1d(edges, dense.lo[(dense.lo > edges[0]) & (dense.lo < edges[-1])])
     step = np.searchsorted(dense.lo, cuts[:-1], side="right") - 1
     tau = np.stack([cuts[:-1], cuts[1:]]) - dense.t0[step]
     v = np.zeros_like(tau)
-    for ck in integral[step, :0:-1].T:  # orders ORDER..1: Horner, the constant is 0
+    for ck in integral[step, :0:-1].T:  # orders 2 ORDER + 1..1: Horner, the constant is 0
         v = (v + ck) * tau
     return np.add.reduceat(v[1] - v[0], np.searchsorted(cuts, edges[:-1]))
 

@@ -407,6 +407,14 @@ def test_flow_min_increment_positive(tmp_path, capsys, config, W1):
     assert rc == EXIT_OK and rep["lyapunov"]["min_increment"] > 0
 
 
+def test_flow_tight_endpoint_gains_positive(capsys):
+    # the last forward step of this orbit is long and z1 - x1 small on it:
+    # the gains there need the square of z1 - x1's series to its full degree
+    rc, rep = run(capsys, "flow", "--config", "chain_unequal",
+                  "--tol-overrides", "endpoint_tol=1e-9")
+    assert rc == EXIT_OK and rep["lyapunov"]["min_increment"] > 0
+
+
 def test_obstruct_equal_temperature(tmp_path):
     out = tmp_path / "obs_eq.json"
     rc = main(["obstruct", "--config", "chain_equal", "--out", str(out)])

@@ -429,15 +429,25 @@ OVERFLOW_ENTRY_STEP = [[0.0, 1.0, 1.85e304] + [0.0] * 22, [0.0] * 25, [0.0] * 25
 BALL = (np.array([2e-7, 0.0, 0.0, 0.0, 0.0, 0.0]), 1e-7)
 
 
+# what `_taylor_coefficients` raises where a power of x leaves the float range
+SERIES_OVERFLOW = FlowError("integration failed: x^3 overflows")
+
+
 def _stepping(monkeypatch, steps):
     """Make `integrate` take the given step series in turn, then the last
-    one again and again."""
+    one again and again; an exception among them is raised instead."""
     series = itertools.chain(steps, itertools.repeat(steps[-1]))
-    monkeypatch.setattr("susyfact.flow._taylor_coefficients",
-                        lambda x, y, z, p: [list(s) for s in next(series)])
+
+    def step(x, y, z, p):
+        s = next(series)
+        if isinstance(s, Exception):
+            raise s
+        return [list(r) for r in s]
+    monkeypatch.setattr("susyfact.flow._taylor_coefficients", step)
 
 
-@pytest.mark.parametrize("after", [UNDERFLOW_STEP, NAN_STEP], ids=["underflow", "nan"])
+@pytest.mark.parametrize("after", [UNDERFLOW_STEP, NAN_STEP, SERIES_OVERFLOW],
+                         ids=["underflow", "nan", "series-overflow"])
 def test_failure_after_the_entry_step_returns_the_hit(cfg, monkeypatch, after):
     # the integration ends at the entry, so a step after it cannot fail it
     _stepping(monkeypatch, [ENTRY_STEP, after])
@@ -455,15 +465,29 @@ BALL_BEHIND = (np.array([-5.0, 0.0, 0.0, 0.0, 0.0, 0.0]), 1e-7)
 
 @pytest.mark.parametrize("steps, ball, match", [
     ([UNDERFLOW_STEP], BALL, "underflowed at t = 0.0"),
+    ([ENTRY_STEP, SERIES_OVERFLOW], BALL_BEHIND, "x\\^3 overflows"),
     ([ENTRY_STEP, ENTRY_STEP, UNDERFLOW_STEP], BALL_BEHIND, "underflowed at t = 1.0"),
     ([OVERFLOW_ENTRY_STEP], BALL, "not finite at t = 100.0"),
-], ids=["underflow-first", "underflow-before-any-entry", "overflow-on-entry"])
+], ids=["underflow-first", "series-overflow-before-any-entry", "underflow-before-any-entry",
+        "overflow-on-entry"])
 def test_failure_before_or_on_the_entry_step_raises(cfg, monkeypatch, steps, ball, match):
     # a failure that no entry precedes raises, and so does a state that is
     # not finite at the end of the entry step itself
     _stepping(monkeypatch, steps)
     with pytest.raises(FlowError, match=match):
         integrate(cfg, [0.0] * 6, (0.0, 100.0), n_samples=5, stop_near=ball)
+
+
+def test_a_power_past_the_float_range_is_a_flow_error(cfg):
+    # the bundled W1' = x^3 - x: (1e200)^3 is past the float range, which
+    # Python's ** reports as OverflowError
+    with pytest.raises(FlowError, match="x\\^3 overflows at x = 1e\\+200"):
+        _taylor_coefficients(1e200, 0.0, 0.0, [0.0, -1.0, 0.0, 1.0])
+    x1 = cfg.space.index("x1")
+    start = [0.0] * 6
+    start[x1] = 1e200
+    with pytest.raises(FlowError, match="x\\^3 overflows"):
+        integrate(cfg, start, (0.0, 1.0))
 
 
 @st.composite

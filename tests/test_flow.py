@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susyfact.flow import (ORDER, PROBE_SAMPLES, PROBE_T_MAX, STEP_EPS, FlowError, _entry_time,
-                           _first_entry, _horner, _screened_out, _taylor_coefficients,
-                           gamma1_interpolant, heteroclinic_gamma1, integrate, lyapunov_report,
-                           nu_apply, nu_components, nu_iterates, phi0_gains,
-                           quintic_bound_probe, stationary_points)
+                           _first_entry, _horner, _saddle_and_targets, _screened_out,
+                           _taylor_coefficients, gamma1_interpolant, heteroclinic_gamma1,
+                           heteroclinic_x1_range, integrate, lyapunov_report, nu_apply,
+                           nu_components, nu_iterates, phi0_gains, quintic_bound_probe,
+                           stationary_points)
 from susyfact.models import ChainConfig, UnsupportedConfig, chain_phi0, default_chain_config
 from susyfact.polyalg import Poly, parse_poly
 
@@ -106,6 +107,44 @@ def test_stationary_points(cfg):
               (1.0, 0.0, 1.0, 0.0, 0.0, 0.0)]
     for got, want in zip(pts, expect):
         assert np.allclose(got, want, atol=1e-10)
+
+
+def _double_well_chain(W1: str) -> ChainConfig:
+    return ChainConfig.from_json_dict({"W1": W1, "W2": "1/2*x2^2", "deltaW": "0",
+                                       "alpha1": "1", "alpha2": "2"})
+
+
+@pytest.mark.parametrize("W1, targets, x1_range", [
+    ("1/4*x1^4 - 1/2*x1^2 + 1/4",
+     "[(1.0, [1.0, 0.0, 1.0, 0.0, 0.0, 0.0], 0.14238738078245486), "
+     "(-1.0, [-1.0, 0.0, -1.0, 0.0, 0.0, 0.0], 0.14238738078245486)]",
+     (0.0, 1.0)),
+    ("25/4*x1^4 - 1/2*x1^2 + 1/100",
+     "[(1.0, [0.2, 0.0, 0.2, 0.0, 0.0, 0.0], 0.14238738078245475), "
+     "(-1.0, [-0.2, 0.0, -0.2, 0.0, 0.0, 0.0], 0.14238738078245475)]",
+     (0.0, 0.2)),
+    ("1/6*x1^6 - 1/4*x1^4 - 1/2*x1^2",
+     "[(1.0, [1.272019649514069, 0.0, 1.272019649514069, 0.0, 0.0, 0.0], 0.055390752625375426), "
+     "(-1.0, [-1.272019649514069, 0.0, -1.272019649514069, 0.0, 0.0, 0.0], "
+     "0.055390752625375426)]",
+     (0.0, 1.272019649514069)),
+], ids=["wells-pm1", "wells-pm02", "sextic"])
+def test_saddle_and_targets_pinned(W1, targets, x1_range):
+    # the stationary points' floats, bit for bit: the saddle at the origin,
+    # mu1, and each side's nearest minimum with its slowest rate
+    cfg = _double_well_chain(W1)
+    saddle, _, mu1, got = _saddle_and_targets(cfg)
+    assert repr(saddle.tolist()) == "[0.0, 0.0, 0.0, 0.0, 0.0, 0.0]"
+    assert repr(mu1) == "0.7548776662466928"
+    assert repr([(sign, p.tolist(), rate) for sign, p, rate in got]) == targets
+    assert heteroclinic_x1_range(cfg) == x1_range
+
+
+def test_a_double_root_of_w1_prime_is_no_saddle():
+    # W1' = x (x - 1)^2: the double root at 1 is merged, and W1''(1) = 0
+    cfg = _double_well_chain("1/4*x1^4 - 2/3*x1^3 + 1/2*x1^2")
+    with pytest.raises(UnsupportedConfig, match="W1 has 0 saddles"):
+        _saddle_and_targets(cfg)
 
 
 def test_cascade_point_classification(cfg):

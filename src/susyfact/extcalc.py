@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .opcore import divergence
 from .polyalg import Poly, VarSpace
 
 
@@ -33,8 +34,7 @@ def homotopy_inverse_delta(space: VarSpace, v: Sequence[Poly]) -> list[list[Poly
     defensively, if the construction fails its own residual check.
     """
     n = space.n
-    names = space.names
-    div = sum((v[k].partial(names[k]) for k in range(n)), Poly.zero(space))
+    div = divergence(space, v, False)
     if not div.is_zero:
         raise ExtCalcError(f"input is not divergence-free; div v = {div}")
     if n == 1 and not v[0].is_zero:
@@ -50,6 +50,6 @@ def homotopy_inverse_delta(space: VarSpace, v: Sequence[Poly]) -> list[list[Poly
 
     C = [[radial(j, k) - radial(k, j) for k in range(n)] for j in range(n)]
     for k in range(n):
-        if sum((C[j][k].partial(names[j]) for j in range(n)), Poly.zero(space)) != v[k]:
+        if divergence(space, [C[j][k] for j in range(n)], False) != v[k]:
             raise ExtCalcError("radial primitive failed its residual check")
     return C

@@ -92,21 +92,6 @@ def nu_iterates(cfg: ChainConfig, p: Poly, order: int) -> list[Poly]:
     return out[1:]
 
 
-def stationary_points(cfg: ChainConfig) -> list[np.ndarray]:
-    """All stationary states (x0, 0, x0) of nu for the separable W0."""
-    space = cfg.space
-    xvars = [chain_var(space, "x", j, i) for j in (1, 2) for i in range(cfg.n)]
-    pts = spectral.critical_points(cfg.W0(), xvars)
-    out = []
-    for pt in pts:
-        state = np.zeros(space.n)
-        for (j, i), val in zip(((j, i) for j in (1, 2) for i in range(cfg.n)), pt):
-            state[space.index(chain_var(space, "x", j, i))] = val
-            state[space.index(chain_var(space, "z", j, i))] = val
-        out.append(state)
-    return out
-
-
 # ---------------------------------------------------------------- trajectory
 
 @dataclass(frozen=True)
@@ -413,14 +398,18 @@ def _saddle_and_targets(cfg: ChainConfig) -> tuple[np.ndarray, np.ndarray, float
     its linearization, mu1, and the shooting targets: (sign, minimum, rate)
     for the nearest minimum on each side of the saddle in x1, the side of
     increasing x1 first, where rate is the smallest real part of the
-    eigenvalues at the minimum.  W2 is positive definite, so each point is
-    classified by the root triple of W1'' at its x1."""
+    eigenvalues at the minimum.  W2 is positive definite, so the stationary
+    points are (r, 0, r, 0, 0, 0) for the real roots r of W1', and each is
+    classified by the root triple of W1''(r)."""
     space = cfg.space
     x1 = chain_var(space, "x", 1)
     ix1 = space.index(x1)
-    w1pp = _w1_prime(cfg).partial(x1)
+    w1p = _w1_prime(cfg)
+    w1pp = w1p.partial(x1)
     saddles, minima = [], []
-    for pt in stationary_points(cfg):
+    for r in spectral.real_roots(w1p, x1):
+        pt = np.zeros(space.n)
+        pt[[ix1, space.index(chain_var(space, "z", 1))]] = r
         w = w1pp.evaluate(dict(zip(space.names, pt)))
         cls = spectral.classify_roots(w)
         if cls == "one_negative":

@@ -36,68 +36,45 @@ class SpectralError(ValueError):
 
 # ------------------------------------------------------------ root finding
 
-ROOT_TOL = 1e-12  # residual |dW/dvar| accepted, relative to max(1, |x|)
+ROOT_TOL = 1e-12  # residual |p| accepted, relative to max(1, |x|)
 
 
-def real_roots_univariate(W: Poly, var: str) -> list[float]:
-    """Real roots of dW/dvar = 0 for a polynomial depending on `var` only,
-    via the companion matrix with one Newton polish per root."""
-    dW = W.partial(var)
-    others = [v for v in W.space.names if v != var]
-    if dW.involves(others):
-        raise SpectralError("potential is not separable in the requested variable")
-    i = W.space.index(var)
-    deg = max((exps[i] for (exps, _) in dW.terms), default=0)
-    if deg == 0:
-        raise SpectralError("derivative is constant; no isolated critical points")
+def real_roots(p: Poly, var: str) -> list[float]:
+    """Real roots of a polynomial p in `var` alone, sorted: the real
+    eigenvalues of its companion matrix, each polished by up to 5 Newton
+    steps and kept where |p| < ROOT_TOL max(1, |x|); roots within 1e-9 of
+    the one before are merged."""
+    i = p.space.index(var)
+
+    def floats(q: Poly) -> list[tuple[float, int]]:
+        return [(float(c), exps[i]) for (exps, _), c in q.terms.items()]
+
+    def value(data: list[tuple[float, int]], x: float) -> float:
+        return sum(c * x ** e for c, e in data)
+
+    f, fp = floats(p), floats(p.partial(var))
+    deg = max((e for _, e in f), default=0)
     coeffs = np.zeros(deg + 1)
-    for (exps, hpow), c in dW.terms.items():
-        if hpow:
-            raise SpectralError("potential must be h-free")
-        coeffs[deg - exps[i]] = float(c)
-    roots = np.roots(coeffs)
-    dd = dW.partial(var)
-    fd = _poly1d_callable(dW, var)
-    fdd = _poly1d_callable(dd, var)
+    for c, e in f:
+        coeffs[deg - e] = c
     out = []
-    for r in roots:
+    for r in np.roots(coeffs):
         if abs(r.imag) > 1e-8:
             continue
         x = r.real
         for _ in range(5):
-            d = fdd(x)
+            d = value(fp, x)
             if d == 0:
                 break
-            x -= fd(x) / d
-        if abs(fd(x)) < ROOT_TOL * max(1.0, abs(x)):
+            x -= value(f, x) / d
+        if abs(value(f, x)) < ROOT_TOL * max(1.0, abs(x)):
             out.append(x)
     out.sort()
-    # merge numerically duplicate roots
     dedup: list[float] = []
     for x in out:
         if not dedup or abs(x - dedup[-1]) > 1e-9:
             dedup.append(x)
     return dedup
-
-
-def _poly1d_callable(p: Poly, var: str):
-    i = p.space.index(var)
-    data = [(float(c), exps[i]) for (exps, _), c in p.terms.items()]
-
-    def f(x: float) -> float:
-        return sum(c * x ** e for c, e in data)
-
-    return f
-
-
-def critical_points(W0: Poly, xvars: Sequence[str]) -> list[tuple[float, ...]]:
-    """All critical points of a separable potential W0 = sum_i w_i(x_i):
-    the cartesian product of the per-coordinate root sets."""
-    axes = [real_roots_univariate(W0, v) for v in xvars]
-    pts: list[tuple[float, ...]] = [()]
-    for axis in axes:
-        pts = [p + (r,) for p in pts for r in axis]
-    return pts
 
 
 # ----------------------------------------------------------- linearization

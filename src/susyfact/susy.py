@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import combinations_with_replacement
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -147,19 +146,6 @@ def check_necessary(P: SecondOrderOperator, phi: Poly, psi: Poly) -> SusyVerdict
 
 # ----------------------------------------------------------------- construct
 
-def _monomial_basis(space: VarSpace, max_deg: int, max_hpow: int):
-    n = space.n
-    keys = []
-    for hp in range(max_hpow + 1):
-        for deg in range(max_deg + 1):
-            for combo in combinations_with_replacement(range(n), deg):
-                exps = [0] * n
-                for i in combo:
-                    exps[i] += 1
-                keys.append((tuple(exps), hp))
-    return keys
-
-
 def _solve_linear_fraction(rows: list[dict[int, Fraction]], rhs: list[Fraction],
                            ncols: int) -> Optional[list[Fraction]]:
     """Exact Gaussian elimination for a sparse rational system; returns one
@@ -239,9 +225,9 @@ def _weighted_divergence_solve(space: VarSpace, g: list[Poly], vtilde: list[Poly
     Bounded-degree ansatz, grown over a short ladder of degree caps; each
     candidate system is solved exactly over the rationals and the solution
     is re-checked with `opcore.divergence`.  The system's columns are the
-    unknowns C_ab = x^e h^r (a < b) of the cap's basis, its rows the
-    equations (k, term), written from the monomial rule for the image of
-    each unknown.
+    unknowns C_ab = x^e h^r (a < b) with |e| at most the cap and r at most
+    hmax, its rows the equations (k, term), written from the monomial rule
+    for the image of each unknown.
 
     Only the block of that system which vtilde's terms reach is written:
     starting from the rows (k, term of vtilde_k), each row brings in the
@@ -250,8 +236,9 @@ def _weighted_divergence_solve(space: VarSpace, g: list[Poly], vtilde: list[Poly
     with pivot rows that share a column, so the other blocks never meet
     this one; their right sides are all 0, so they are consistent and, with
     free unknowns set to 0, back-substitute to 0.  Handing the block's rows
-    to the solver in the full system's sorted order, with each column at its
-    index in the full list of unknowns, gives the full system's solution.
+    to the solver in the full system's sorted order, with its unknowns
+    numbered in the full system's column order, gives the full system's
+    pivots and solution: elimination sees only the order of the columns.
     """
     n = space.n
     deg_v = max((p.total_degree() for p in vtilde), default=0)
@@ -294,39 +281,42 @@ def _weighted_divergence_solve(space: VarSpace, g: list[Poly], vtilde: list[Poly
                 if hp >= hg and all(x >= y for x, y in zip(exps, eg)):
                     yield pair, (tuple(x - y for x, y in zip(exps, eg)), hp - hg)
 
+    def column_order(unknown):
+        """The full system's column order: pair, h-power, degree, then the
+        order of combinations_with_replacement, which within one degree is
+        descending lexicographic in the exponents."""
+        pair, (exps, hp) = unknown
+        return pair, hp, sum(exps), tuple(-e for e in exps)
+
     for cap in ladder:
-        basis = _monomial_basis(space, cap, hmax)
-        position = {key: i for i, key in enumerate(basis)}
-        # column of (pair, key) in the list [(pair, key) for pair in pairs for key in basis]
-        offset = {pair: p * len(basis) for p, pair in enumerate(pairs)}
         eq_rows: dict[tuple[int, tuple], dict[int, Fraction]] = {
             (k, tk): {} for k in range(n) for tk in vtilde[k].terms}
-        images: dict[int, dict] = {}  # column -> its image, for the block's columns
+        images: dict[tuple, dict] = {}  # (pair, key) -> its image, for the block's unknowns
         frontier = list(eq_rows)
         while frontier:
             k, (exps, hp) = frontier.pop()
             for pair, key in sources(k, exps, hp):
-                if key not in position or (col := offset[pair] + position[key]) in images:
+                if sum(key[0]) > cap or key[1] > hmax or (pair, key) in images:
                     continue
-                images[col] = image(*pair, *key)
-                for row_key in images[col]:
+                images[pair, key] = image(*pair, *key)
+                for row_key in images[pair, key]:
                     if row_key not in eq_rows:
                         eq_rows[row_key] = {}
                         frontier.append(row_key)
-        cols = sorted(images)
-        for col in cols:
-            for row_key, c in images[col].items():
+        unknowns = sorted(images, key=column_order)
+        for col, unknown in enumerate(unknowns):
+            for row_key, c in images[unknown].items():
                 eq_rows[row_key][col] = c
         keys = sorted(eq_rows)
         rows = [eq_rows[k] for k in keys]
         rhs = [vtilde[k].terms.get(tk, Fraction(0)) for (k, tk) in keys]
-        sol = _solve_linear_fraction(rows, rhs, len(pairs) * len(basis))
+        sol = _solve_linear_fraction(rows, rhs, len(unknowns))
         if sol is None:
             continue
         terms: dict[tuple[int, int], dict] = {pair: {} for pair in pairs}
-        for col in cols:
-            if sol[col]:
-                terms[pairs[col // len(basis)]][basis[col % len(basis)]] = sol[col]
+        for (pair, key), val in zip(unknowns, sol):
+            if val:
+                terms[pair][key] = val
         C = zero_matrix(space)
         for (j, k), t in terms.items():
             C[j][k] = Poly(space, t)
@@ -373,34 +363,22 @@ def construct(P: SecondOrderOperator, phi: Poly, psi: Poly) -> SusyVerdict:
                                failure_witness=next((p for p in vtilde if not p.is_zero),
                                                     Poly.zero(space)))
 
-    A = [[P.B[j][k] + C[j][k] for k in range(n)] for j in range(n)]
-    Q = assemble_factorization(A, phi, psi, P.semiclassical)
-    diff = _operator_difference(P, Q)
-    if diff is not None:
-        return SusyVerdict("construction_failed", failure_witness=diff)
-    return SusyVerdict("constructed", structure=SusyStructure(tuple(tuple(r) for r in A), phi, psi))
-
-
-def _operator_difference(P: SecondOrderOperator, Q: SecondOrderOperator) -> Optional[Poly]:
-    """First nonzero coefficient difference between two operators, or None."""
-    n = P.space.n
-    for j in range(n):
-        for k in range(n):
-            d = P.B[j][k] - Q.B[j][k]
-            if not d.is_zero:
-                return d
-    for j in range(n):
-        d = P.v[j] - Q.v[j]
-        if not d.is_zero:
-            return d
-    d = P.v0 - Q.v0
-    return None if d.is_zero else d
+    s = SusyStructure([[P.B[j][k] + C[j][k] for k in range(n)] for j in range(n)], phi, psi)
+    verdict = verify_structure(P, s)
+    if verdict.status != "verified":
+        return SusyVerdict("construction_failed", failure_witness=verdict.failure_witness)
+    return SusyVerdict("constructed", structure=s)
 
 
 def verify_structure(P: SecondOrderOperator, s: SusyStructure) -> SusyVerdict:
-    """Exact check of the factorization identity for a candidate structure."""
+    """Exact check of the factorization identity for a candidate structure;
+    the witness of a failure is the first nonzero coefficient of P - Q, for
+    the assembled Q, in the order B, v, v0."""
     Q = assemble_factorization(s.A, s.phi, s.psi, P.semiclassical)
-    diff = _operator_difference(P, Q)
+    n = P.space.n
+    diffs = [P.B[j][k] - Q.B[j][k] for j in range(n) for k in range(n)]
+    diffs += [P.v[j] - Q.v[j] for j in range(n)] + [P.v0 - Q.v0]
+    diff = next((d for d in diffs if not d.is_zero), None)
     if diff is None:
         return SusyVerdict("verified", structure=s)
     return SusyVerdict("necessary_condition_failed", failure_witness=diff)

@@ -16,8 +16,7 @@ from susyfact.flow import (ORDER, PROBE_SAMPLES, PROBE_T_MAX, STEP_EPS, FlowErro
                            _first_entry, _horner, _saddle_and_targets, _screened_out,
                            _taylor_coefficients, gamma1_interpolant, heteroclinic_gamma1,
                            heteroclinic_x1_range, integrate, lyapunov_report, nu_apply,
-                           nu_components, nu_iterates, phi0_gains, quintic_bound_probe,
-                           stationary_points)
+                           nu_components, nu_iterates, phi0_gains, quintic_bound_probe)
 from susyfact.models import ChainConfig, UnsupportedConfig, chain_phi0, default_chain_config
 from susyfact.polyalg import Poly, parse_poly
 
@@ -98,16 +97,6 @@ def test_quintic_probe_refuses_unit_gamma_before_integrating(cfg, monkeypatch):
 
 
 # ------------------------------------------------------- stationary analysis
-
-def test_stationary_points(cfg):
-    pts = sorted(stationary_points(cfg), key=lambda p: p[0])
-    assert len(pts) == 3
-    expect = [(-1.0, 0.0, -1.0, 0.0, 0.0, 0.0),
-              (0.0,) * 6,
-              (1.0, 0.0, 1.0, 0.0, 0.0, 0.0)]
-    for got, want in zip(pts, expect):
-        assert np.allclose(got, want, atol=1e-10)
-
 
 def _double_well_chain(W1: str) -> ChainConfig:
     return ChainConfig.from_json_dict({"W1": W1, "W2": "1/2*x2^2", "deltaW": "0",

@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susyfact.polyalg import VarSpace, parse_poly
-from susyfact.spectral import (F, F_critical_point, G, classify_roots,
-                               critical_points, cubic_roots,
-                               real_roots_univariate, w_grid_report)
+from susyfact.spectral import (F, F_critical_point, G, classify_roots, cubic_roots, real_roots,
+                               w_grid_report)
 
 from conftest import linearization_N
 
@@ -92,20 +91,15 @@ def test_F_and_G_relation():
 def test_real_roots_of_double_well_gradient():
     # critical points of the double well: roots of W' = x^3 - x
     sp = VarSpace.make(["x1"])
-    W = parse_poly(sp, "1/4*x1^4 - 1/2*x1^2")
-    roots = sorted(real_roots_univariate(W, "x1"))
+    roots = real_roots(parse_poly(sp, "x1^3 - x1"), "x1")
     assert len(roots) == 3
     assert max(abs(a - b) for a, b in zip(roots, (-1.0, 0.0, 1.0))) < 1e-10
 
 
-def test_critical_points_cartesian():
-    sp = VarSpace.make(["x1", "x2"])
-    W0 = parse_poly(sp, "1/4*x1^4 - 1/2*x1^2 + 1/2*x2^2")
-    pts = critical_points(W0, ["x1", "x2"])
-    assert len(pts) == 3
-    xs = sorted(p[0] for p in pts)
-    assert max(abs(a - b) for a, b in zip(xs, (-1.0, 0.0, 1.0))) < 1e-10
-    assert all(abs(p[1]) < 1e-10 for p in pts)
+def test_real_roots_merges_a_double_root():
+    # x (x - 1)^2: the two companion eigenvalues near 1 become one root
+    sp = VarSpace.make(["x1"])
+    assert real_roots(parse_poly(sp, "x1^3 - 2*x1^2 + x1"), "x1") == [0.0, 1.0]
 
 
 # ------------------------------------------------------------ linearization

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 from susyfact import susy
 from susyfact.cli import canonical_json
 from susyfact.models import ChainConfig, make_chain, reference_bundles
-from susyfact.opcore import SecondOrderOperator, divergence, identity_matrix, laplacian
+from susyfact.opcore import (SecondOrderOperator, divergence, identity_matrix, laplacian,
+                             zero_matrix)
 from susyfact.polyalg import Poly, VarSpace, parse_poly
 from susyfact.susy import (SusyStructure, assemble_factorization, check_necessary,
                            construct, verify_reference_structures,
@@ -174,6 +176,19 @@ def test_construct_propagates_programming_errors(monkeypatch):
     P = SecondOrderOperator(sp, identity_matrix(sp), v, Poly.zero(sp), False)
     with pytest.raises(TypeError):
         construct(P, Poly.zero(sp), Poly.zero(sp))
+
+
+def test_construct_reports_a_failed_reverification(monkeypatch):
+    # a C that misses vtilde leaves the drift unmatched: the re-verification
+    # turns that into construction_failed, with the first difference of P
+    # and the assembled operator as the witness
+    monkeypatch.setattr(susy, "homotopy_inverse_delta", lambda space, v: zero_matrix(space))
+    sp = VarSpace.make(["x1", "x2"])
+    v = (parse_poly(sp, "x2"), parse_poly(sp, "-1*x1"))
+    P = SecondOrderOperator(sp, identity_matrix(sp), v, Poly.zero(sp), False)
+    verdict = construct(P, Poly.zero(sp), Poly.zero(sp))
+    assert verdict.status == "construction_failed"
+    assert verdict.failure_witness == parse_poly(sp, "x2")
 
 
 def test_construct_semiclassical_needs_h_in_drift():
@@ -451,6 +466,18 @@ def test_weighted_divergence_solve_round_trip(problem, semiclassical):
         assert image == vt_poly[k]
 
 
+def _monomial_basis(sp: VarSpace, max_deg: int, max_hpow: int):
+    keys = []
+    for hp in range(max_hpow + 1):
+        for deg in range(max_deg + 1):
+            for combo in combinations_with_replacement(range(sp.n), deg):
+                exps = [0] * sp.n
+                for i in combo:
+                    exps[i] += 1
+                keys.append((tuple(exps), hp))
+    return keys
+
+
 def _full_system_solve(sp: VarSpace, g: list[Poly], vtilde: list[Poly],
                        semiclassical: bool):
     """Reference for `_weighted_divergence_solve`: the same ladder of caps,
@@ -464,7 +491,7 @@ def _full_system_solve(sp: VarSpace, g: list[Poly], vtilde: list[Poly],
     hmax = max(p.max_hpow() for p in vtilde) + 1
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     for cap in sorted({max(0, deg_v - deg_g + 1), deg_v, deg_v + 2}):
-        unknowns = [(pair, key) for pair in pairs for key in susy._monomial_basis(sp, cap, hmax)]
+        unknowns = [(pair, key) for pair in pairs for key in _monomial_basis(sp, cap, hmax)]
         eq_rows: dict = {(k, tk): {} for k in range(n) for tk in vtilde[k].terms}
         for col, ((a, b), key) in enumerate(unknowns):
             for k, j, c in ((b, a, 1), (a, b, -1)):

@@ -78,6 +78,14 @@ def test_F_critical_point_values():
     assert abs(G(m)) < 1e-12
 
 
+def test_F_critical_point_pinned():
+    # the floats `spectral` reports, bit for bit, as plain Python floats
+    m, Fm = F_critical_point()
+    assert type(m) is float and type(Fm) is float
+    assert m.hex() == "0x1.90b0cc2fefc3dp+0"
+    assert Fm.hex() == "-0x1.4e06540b6da5ap+2"
+
+
 def test_F_and_G_relation():
     # G is the numerator of -F' up to the positive factor (1 - lam)^2
     for lam in (1.2, 1.8, 2.5):

@@ -177,40 +177,30 @@ def _parse_tols(text: Optional[str]) -> dict:
     return out
 
 
-def _base_report(args) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "seed": args.seed}
+def _base_report(args, command: str) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "seed": args.seed, "command": command}
 
 
 # ----------------------------------------------------------------- commands
 
-def cmd_check(args) -> int:
+def cmd_weights(args) -> int:
+    """check and construct: the verdict on the operator and the weights."""
     op = _load_operator(args)
     phi = _parse_weight(op, args.phi)
     psi = _parse_weight(op, args.psi)
-    verdict = susy.check_necessary(op, phi, psi)
-    report = _base_report(args)
-    report["command"] = "check"
+    if args.command == "check":
+        verdict, ok = susy.check_necessary(op, phi, psi), "verified"
+    else:
+        verdict, ok = susy.construct(op, phi, psi), "constructed"
+    report = _base_report(args, args.command)
     report["verdict"] = verdict.to_json_dict()
     _emit(report, args.out)
-    return EXIT_OK if verdict.status == "verified" else EXIT_MATH
-
-
-def cmd_construct(args) -> int:
-    op = _load_operator(args)
-    phi = _parse_weight(op, args.phi)
-    psi = _parse_weight(op, args.psi)
-    verdict = susy.construct(op, phi, psi)
-    report = _base_report(args)
-    report["command"] = "construct"
-    report["verdict"] = verdict.to_json_dict()
-    _emit(report, args.out)
-    return EXIT_OK if verdict.status == "constructed" else EXIT_MATH
+    return EXIT_OK if verdict.status == ok else EXIT_MATH
 
 
 def cmd_verify_models(args) -> int:
     rows = susy.verify_reference_structures()
-    report = _base_report(args)
-    report["command"] = "verify-models"
+    report = _base_report(args, "verify-models")
     report["models"] = rows
     _emit(report, args.out)
     bad = [r for r in rows if r["status"] == "mismatch"]
@@ -252,8 +242,7 @@ def cmd_spectral(args) -> int:
     ws = _parse_w_grid(args.w_grid)
     rows = spectral.w_grid_report(ws)
     m, Fm = spectral.F_critical_point()
-    report = _base_report(args)
-    report["command"] = "spectral"
+    report = _base_report(args, "spectral")
     report["F_critical_point"] = {"m": m, "F_of_m": Fm}
     report["rows"] = rows
     _emit(report, args.out)
@@ -274,8 +263,7 @@ def cmd_flow(args) -> int:
     tols = _parse_tols(args.tol_overrides)
     traj = flowmod.heteroclinic_gamma1(cfg, endpoint_tol=tols.get("endpoint_tol", 1e-7))
     lyap = flowmod.lyapunov_report(cfg, traj)
-    report = _base_report(args)
-    report["command"] = "flow"
+    report = _base_report(args, "flow")
     report["endpoint_residual_minimum"] = traj.meta["endpoint_residual_minimum"]
     report["endpoint_residual_saddle"] = traj.meta["endpoint_residual_saddle"]
     report["mu1"] = traj.meta["mu1"]
@@ -294,8 +282,7 @@ def cmd_obstruct(args) -> int:
     cfg = _load_chain_config(args.config)
     rep = obstruction.run_obstruction(cfg)
     sub = obstruction.invariant_subspace_check(cfg)
-    report = _base_report(args)
-    report["command"] = "obstruct"
+    report = _base_report(args, "obstruct")
     report["obstruction"] = rep.to_json_dict()
     report["invariant_subspace"] = sub
     _emit(report, args.out)
@@ -332,13 +319,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, operator + config)
     p.add_argument("--phi", help="weight for P(e^{-phi/h}) = 0 (mini-grammar)")
     p.add_argument("--psi", help="weight for P*(e^{-psi/h}) = 0 (default 0)")
-    p.set_defaults(fn=cmd_check)
+    p.set_defaults(fn=cmd_weights)
 
     p = sub.add_parser("construct", help="build and verify a supersymmetric structure")
     common(p, operator + config)
     p.add_argument("--phi", help="left weight (mini-grammar)")
     p.add_argument("--psi", help="right weight (mini-grammar)")
-    p.set_defaults(fn=cmd_construct)
+    p.set_defaults(fn=cmd_weights)
 
     p = sub.add_parser("verify-models", help="exact factorization identities of all bundled models")
     common(p, ())

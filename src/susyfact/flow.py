@@ -252,21 +252,6 @@ def _screened_out(q: np.ndarray, h: np.ndarray, tol: float) -> np.ndarray:
     return np.all(dist - moves > tol + margin[:, None], axis=1)
 
 
-def _entry_time(series: list[list[float]], h: float, center: list[float],
-                tol: float) -> Optional[float]:
-    """The first tau between 0 and h at which the step's polynomial enters
-    the ball of radius tol around center from outside, or None.  A step
-    that starts farther from the ball than its polynomial can move is
-    passed over."""
-    q = np.array(series)
-    q[:, 0] -= center
-    start = float(np.linalg.norm(q[:, 0]))
-    reach = np.abs(q[:, 1:]) @ np.abs(h) ** np.arange(1, ORDER + 1)
-    if start - np.linalg.norm(reach) > tol:
-        return None
-    return _first_entry(q, 0.0, h, tol, start > tol)[0]
-
-
 def _first_entry(q: np.ndarray, a: float, b: float, tol: float,
                  outside: bool) -> tuple[Optional[float], bool]:
     """The first tau from a toward b at which |q(tau)| falls to tol from
@@ -366,8 +351,9 @@ def integrate(cfg: ChainConfig, state0: Sequence[float], t_span: tuple[float, fl
             q = np.array(coefs[first:done])
             q[:, :, 0] -= center
             passed = _screened_out(q, np.array(steps[first:done]), tol)
-            for i in first + np.flatnonzero(~passed):
-                tau = _entry_time(coefs[i], steps[i], center, tol)
+            for j in np.flatnonzero(~passed):
+                i = first + j
+                tau = _first_entry(q[j], 0.0, steps[i], tol, np.linalg.norm(q[j, :, 0]) > tol)[0]
                 if tau is not None:
                     hit = starts[i] + tau
                     del starts[i + 1:], steps[i + 1:], coefs[i + 1:]
@@ -459,7 +445,8 @@ def heteroclinic_gamma1(cfg: ChainConfig, endpoint_tol: float = 1e-7) -> Traject
     saddle| and tol = endpoint_tol, but no smaller than the integrator's
     error scale STEP_EPS max(1, |minimum|), below which the orbit cannot
     close in.  Forward: ln(eps/endpoint_tol)/mu1 to close in on the saddle;
-    a seed already within endpoint_tol of the saddle never enters the ball."""
+    a seed already within endpoint_tol of the saddle never enters the ball,
+    so it is refused before either leg."""
     saddle, stable, mu1, targets = _saddle_and_targets(cfg)
     phi0_fn = chain_phi0(cfg).compiled()
 
@@ -471,6 +458,9 @@ def heteroclinic_gamma1(cfg: ChainConfig, endpoint_tol: float = 1e-7) -> Traject
         budgets = (BUDGET_SAFETY * (math.log(d / eps) / mu1 + max(math.log(d / tol), 0.0) / rate),
                    BUDGET_SAFETY * math.log(eps / endpoint_tol) / mu1)
         try:
+            if budgets[1] <= 0:
+                raise FlowError("forward orbit did not reach the saddle: the seed lies within "
+                                "endpoint_tol of it")
             traj = _shoot(cfg, seed, saddle, minimum, endpoint_tol, budgets)
         except FlowError as e:
             last_error = e
@@ -490,9 +480,6 @@ def _shoot(cfg, seed, saddle, minimum, tol, budgets) -> Trajectory:
     back = integrate(cfg, seed, (0.0, -budgets[0]), n_samples=400, stop_near=(minimum, tol))
     if not back.meta["terminated_by_event"]:
         raise FlowError("backward orbit did not reach the minimum within budget")
-    if budgets[1] <= 0:
-        raise FlowError("forward orbit did not reach the saddle: the seed lies within "
-                        "endpoint_tol of it")
     fwd = integrate(cfg, seed, (0.0, budgets[1]), n_samples=400, stop_near=(saddle, tol))
     if not fwd.meta["terminated_by_event"]:
         raise FlowError("forward orbit did not reach the saddle within budget")

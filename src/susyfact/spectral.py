@@ -23,15 +23,12 @@ point m > 1 solves G(lambda) = 1 - 2 lambda (1-lambda)^2 = 0.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .polyalg import Poly
-
-
-class SpectralError(ValueError):
-    pass
+from .polyalg import Poly, VarSpace, parse_poly
 
 
 # ------------------------------------------------------------ root finding
@@ -39,20 +36,42 @@ class SpectralError(ValueError):
 ROOT_TOL = 1e-12  # residual |p| accepted, relative to max(1, |x|)
 
 
-def real_roots(p: Poly, var: str) -> list[float]:
-    """Real roots of a polynomial p in `var` alone, sorted: the real
-    eigenvalues of its companion matrix, each polished by up to 5 Newton
-    steps and kept where |p| < ROOT_TOL max(1, |x|); roots within 1e-9 of
-    the one before are merged."""
-    i = p.space.index(var)
+def _divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of a by b, coefficient lists by ascending
+    power whose last entry is not zero; the remainder's is not either."""
+    a, q = a[:], [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for s in range(len(q) - 1, -1, -1):
+        q[s] = a[s + len(b) - 1] / b[-1]
+        for k, bk in enumerate(b):
+            a[s + k] -= q[s] * bk
+    del a[len(b) - 1:]
+    while a and not a[-1]:
+        a.pop()
+    return q, a
 
-    def floats(q: Poly) -> list[tuple[float, int]]:
-        return [(float(c), exps[i]) for (exps, _), c in q.terms.items()]
+
+def real_roots(p: Poly, var: str) -> list[float]:
+    """Real roots of a polynomial p in `var` alone, sorted, each multiple
+    root once.  f = p / gcd(p, p'), with the gcd from Euclid's algorithm
+    over Q and f = p where the gcd is constant, has only simple roots; the
+    real eigenvalues of its companion matrix are each polished by up to 5
+    Newton steps on f and kept where |f| < ROOT_TOL max(1, |x|)."""
+    i = p.space.index(var)
+    terms = [(c, exps[i]) for (exps, _), c in p.terms.items()]
+    a = [Fraction(0)] * (max((e for _, e in terms), default=0) + 1)
+    for c, e in terms:
+        a[e] += c
+    g, b = a, [e * c for e, c in enumerate(a)][1:]
+    while b:
+        g, b = b, _divmod(g, b)[1]
+    if len(g) > 1:
+        terms = [(c, e) for e, c in enumerate(_divmod(a, g)[0]) if c]
 
     def value(data: list[tuple[float, int]], x: float) -> float:
         return sum(c * x ** e for c, e in data)
 
-    f, fp = floats(p), floats(p.partial(var))
+    f = [(float(c), e) for c, e in terms]
+    fp = [(float(c * e), e - 1) for c, e in terms if e]
     deg = max((e for _, e in f), default=0)
     coeffs = np.zeros(deg + 1)
     for c, e in f:
@@ -69,12 +88,7 @@ def real_roots(p: Poly, var: str) -> list[float]:
             x -= value(f, x) / d
         if abs(value(f, x)) < ROOT_TOL * max(1.0, abs(x)):
             out.append(x)
-    out.sort()
-    dedup: list[float] = []
-    for x in out:
-        if not dedup or abs(x - dedup[-1]) > 1e-9:
-            dedup.append(x)
-    return dedup
+    return sorted(out)
 
 
 # ----------------------------------------------------------- linearization
@@ -87,7 +101,7 @@ def eigenvector(lam: complex) -> np.ndarray:
 
 def cubic_roots(w: float) -> list[complex]:
     """The three roots of lambda^3 - lambda^2 + (1+w) lambda - w, polished by
-    one Newton step each and sorted by (real part, imaginary part)."""
+    up to three Newton steps each and sorted by (real part, imaginary part)."""
     coeffs = [1.0, -1.0, 1.0 + w, -w]
     roots = np.roots(coeffs)
 
@@ -133,25 +147,11 @@ def G(lam: float) -> float:
 
 
 def F_critical_point() -> tuple[float, float]:
-    """The unique critical point m > 1 of F on (1, inf) (where G(m) = 0) and
-    the value F(m) < 0; bisection bracketing followed by Newton."""
-    a, b = 1.0 + 1e-9, 4.0
-    if not (G(a) > 0 > G(b)):
-        raise SpectralError("bisection bracket lost")
-    for _ in range(60):
-        mid = 0.5 * (a + b)
-        if G(mid) > 0:
-            a = mid
-        else:
-            b = mid
-    m = 0.5 * (a + b)
-    for _ in range(10):
-        g = G(m)
-        gp = -2.0 * (1.0 - m) ** 2 + 4.0 * m * (1.0 - m)
-        if gp == 0:
-            break
-        m -= g / gp
-    return m, F(m)
+    """The unique critical point m > 1 of F, the one real root of
+    G = 1 - 2 lambda + 4 lambda^2 - 2 lambda^3, and the value F(m) < 0."""
+    (r,) = real_roots(parse_poly(VarSpace.make(["lam"]), "1 - 2*lam + 4*lam^2 - 2*lam^3"), "lam")
+    m = float(r)
+    return m, float(F(m))
 
 
 # ---------------------------------------------------------------- reports

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -346,6 +349,32 @@ def test_unsupported_regimes_exit_2(tmp_path, capsys, monkeypatch, changes, mess
     for command in ("flow", "obstruct"):
         assert main([command, "--config", path]) == EXIT_USAGE, command
         assert message in capsys.readouterr().err, command
+
+
+def test_a_double_root_of_w1_prime_exits_2_at_once(tmp_path):
+    # W1' = x1 (x1^2 - 1)^2: one minimum, at 0, and W1'' = 0 at the double
+    # roots +-1, so there is no saddle; each double root is found once
+    path = _unequal_with(tmp_path, W1="1/6*x1^6 - 1/2*x1^4 + 1/2*x1^2")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "susyfact", "flow", "--config", path], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_USAGE
+    assert "W1 has 0 saddles" in proc.stderr
+
+
+def test_a_seed_within_endpoint_tol_is_refused_before_integrating(tmp_path, capsys, monkeypatch):
+    # wells at +-0.01: the seed at 1e-6 of the distance to a minimum lies
+    # within endpoint_tol = 1e-7 of the saddle, so no forward leg can enter
+    # the ball, and neither leg is run
+    path = _unequal_with(tmp_path, W1="1/4*x1^4 - 1/20000*x1^2")
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated before refusing")
+    monkeypatch.setattr("susyfact.flow.integrate", no_integration)
+    assert main(["flow", "--config", path]) == EXIT_NUMERIC
+    assert capsys.readouterr().err == ("error: forward orbit did not reach the saddle: the seed "
+                                       "lies within endpoint_tol of it\n")
 
 
 @pytest.mark.parametrize("changes, message", [

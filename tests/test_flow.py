@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susyfact.flow import (ORDER, PROBE_SAMPLES, PROBE_T_MAX, STEP_EPS, FlowError, _entry_time,
-                           _first_entry, _horner, _saddle_and_targets, _screened_out,
+from susyfact.flow import (ORDER, PROBE_SAMPLES, PROBE_T_MAX, STEP_EPS, FlowError, _first_entry,
+                           _horner, _saddle_and_targets, _screened_out,
                            _taylor_coefficients, gamma1_interpolant, heteroclinic_gamma1,
                            heteroclinic_x1_range, integrate, lyapunov_report, nu_apply,
                            nu_components, nu_iterates, phi0_gains, quintic_bound_probe)
@@ -130,10 +130,12 @@ def test_saddle_and_targets_pinned(W1, targets, x1_range):
 
 
 def test_a_double_root_of_w1_prime_is_no_saddle():
-    # W1' = x (x - 1)^2: the double root at 1 is merged, and W1''(1) = 0
-    cfg = _double_well_chain("1/4*x1^4 - 2/3*x1^3 + 1/2*x1^2")
-    with pytest.raises(UnsupportedConfig, match="W1 has 0 saddles"):
-        _saddle_and_targets(cfg)
+    # W1' = x (x - 1)^2 and x (x^2 - 1)^2: each double root is found once,
+    # and W1'' = 0 there
+    for W1 in ("1/4*x1^4 - 2/3*x1^3 + 1/2*x1^2", "1/6*x1^6 - 1/2*x1^4 + 1/2*x1^2"):
+        cfg = _double_well_chain(W1)
+        with pytest.raises(UnsupportedConfig, match="W1 has 0 saddles"):
+            _saddle_and_targets(cfg)
 
 
 def test_cascade_point_classification(cfg):
@@ -483,7 +485,9 @@ def test_failure_after_the_entry_step_returns_the_hit(cfg, monkeypatch, after):
     h = (STEP_EPS / ENTRY_STEP[0][ORDER]) ** (1.0 / ORDER)
     assert traj.meta["terminated_by_event"]
     assert len(traj.meta["dense"].t0) == 1
-    assert traj.times[-1] == _entry_time(ENTRY_STEP, h, [2e-7, 0.0, 0.0], 1e-7)
+    q = np.array(ENTRY_STEP)
+    q[:, 0] -= [2e-7, 0.0, 0.0]
+    assert traj.times[-1] == _first_entry(q, 0.0, h, 1e-7, np.linalg.norm(q[:, 0]) > 1e-7)[0]
     assert abs(traj.times[-1] - 1e-7) < 1e-12
 
 

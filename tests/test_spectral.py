@@ -105,9 +105,11 @@ def test_real_roots_of_double_well_gradient():
 
 
 def test_real_roots_merges_a_double_root():
-    # x (x - 1)^2: the two companion eigenvalues near 1 become one root
+    # x (x - 1)^2 and x (x^2 - 1)^2: each double root is found once, from
+    # the companion matrix of p / gcd(p, p')
     sp = VarSpace.make(["x1"])
     assert real_roots(parse_poly(sp, "x1^3 - 2*x1^2 + x1"), "x1") == [0.0, 1.0]
+    assert real_roots(parse_poly(sp, "x1^5 - 2*x1^3 + x1"), "x1") == [-1.0, 0.0, 1.0]
 
 
 # ------------------------------------------------------------ linearization

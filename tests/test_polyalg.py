@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from susyfact.polyalg import Poly, PolyError, VarSpace, parse_poly, parse_rational
 
-from conftest import NO_SHRINK_PHASES, as_sympy, poly_pairs, poly_triples, polys, spaces
+from conftest import NO_SHRINK_PHASES, as_sympy, poly_pairs, poly_triples, polys, rationals, spaces
 
 SP = VarSpace.make(["x1", "x2"])
 X1 = Poly.var(SP, "x1")
@@ -221,6 +221,45 @@ def test_derivations(fg):
     if len(names) >= 2:
         a, b = names[0], names[1]
         assert f.partial(a).partial(b) == f.partial(b).partial(a)
+
+
+@given(spaces(3).flatmap(lambda sp: st.tuples(polys(sp), rationals(), st.integers(-2, 2))))
+@settings(max_examples=60, deadline=None)
+def test_zero_operand_results_match_the_general_path(pck):
+    """An operation with a zero operand gives the terms, in the same order,
+    that the general loops build: p + 0 and 0 + p copy p's dict, 0 - p is -p
+    in p's order, and a product, negation, partial or h-shift of zero is
+    zero.  The order matters: float sums over `terms` walk it."""
+    p, c, k = pck
+    Z = Poly.zero(p.space)
+    items = list(p.terms.items())
+    cases = [(p + Z, items), (Z + p, items), (p - Z, items), (p + 0, items), (0 + p, items),
+             (Z - p, [(key, -v) for key, v in items]), (-Z, []), (p * Z, []), (Z * p, []),
+             (Z * c, []), (c * Z, []), (Z.h_shift(k), [])]
+    cases += [(Z.partial(name), []) for name in p.space.names]
+    for r, want in cases:
+        assert r.space == p.space and list(r.terms.items()) == want
+        _assert_stored(r)
+    assert list(p.terms.items()) == items
+
+
+def test_zero_operand_errors_match_the_general_path():
+    Z = Poly.zero(SP)
+    elsewhere = Poly.zero(VarSpace.make(["y1", "y2"]))
+    for a, b in ((Z, elsewhere), (elsewhere, Z), (X1, elsewhere), (elsewhere, X1)):
+        with pytest.raises(PolyError):
+            a + b
+        with pytest.raises(PolyError):
+            a - b
+        with pytest.raises(PolyError):
+            a * b
+    with pytest.raises(ValueError):
+        Z * "x"
+    with pytest.raises(TypeError):
+        Z * None
+    with pytest.raises(PolyError):
+        Z.partial("q")
+    assert Z.h_shift(-1).terms == {}
 
 
 @given(spaces(3).flatmap(lambda sp: polys(sp, max_deg=3)))

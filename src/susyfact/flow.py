@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from operator import mul
 from typing import Callable, Optional, Sequence
 
@@ -566,11 +567,20 @@ def quintic_bound_probe(cfg: ChainConfig, points: Sequence[Sequence[float]]) -> 
     Delta sums the `phi0_gains` up to each sample time.  Their series'
     leading coefficients nu^k(phi0)(x)/k! come without cancellation, so Delta
     is resolved down to ~1e-22 at t = 1e-4 on {z = x, y = 0}.  Any Delta <= 0
-    is a numerical failure."""
+    is a numerical failure.  A stationary point (x, 0, x, 0, ...) with
+    W1'(x) = 0 exactly, where Delta stays 0, is refused as unsupported."""
     ts = np.geomspace(1e-4, PROBE_T_MAX, PROBE_SAMPLES)
+    index = [cfg.space.index(chain_var(cfg.space, c, 1)) for c in "xyz"]
     out = []
     for point in points:
         # refused before any step: n != 1, gamma != 1, a nonzero second block
+        # and a stationary point
+        x, y, z = (point[i] for i in index)
+        if y == 0 and z == x and math.isfinite(x) and not np.any(np.delete(point, index)):
+            w1p = _w1_prime(cfg)
+            if sum(c * Fraction(x) ** e[index[0]] for (e, _), c in w1p.terms.items()) == 0:
+                raise UnsupportedConfig(f"{point} is a stationary point of the drift, "
+                                        "where phi0 stays constant")
         dense = integrate(cfg, point, (0.0, PROBE_T_MAX)).meta["dense"]
         deltas = np.cumsum(phi0_gains(cfg, dense, np.concatenate([[0.0], ts])))
         if np.any(deltas <= 0):

@@ -12,7 +12,8 @@ statement that every graded component vanishes, which is decidable exactly.
 Coefficients are always reduced Fractions; floats appear only in `evaluate`.
 Zero coefficients are never stored, so `p.terms == q.terms` is polynomial
 identity.  All values are immutable after construction and every operation is
-a pure function.
+a pure function; so an operation with a zero operand may return an operand
+itself (p + 0 is p, 0 * p is 0) instead of building an equal copy.
 """
 
 from __future__ import annotations
@@ -178,13 +179,15 @@ class Poly:
 
     # ------------------------------------------------------------ arithmetic
     def _require_same_space(self, other: "Poly"):
-        if self.space != other.space:
+        if self.space is not other.space and self.space != other.space:
             raise PolyError("polynomials live over different variable spaces")
 
     def __add__(self, other: "Poly | RationalLike") -> "Poly":
         if not isinstance(other, Poly):
             other = Poly.const(self.space, other)
         self._require_same_space(other)
+        if not other.terms or not self.terms:
+            return self if not other.terms else other
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out[k] + c if k in out else c
@@ -193,6 +196,8 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
+        if not self.terms:
+            return self
         return Poly(self.space, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "Poly | RationalLike") -> "Poly":
@@ -206,8 +211,12 @@ class Poly:
     def __mul__(self, other: "Poly | RationalLike") -> "Poly":
         if not isinstance(other, Poly):
             c = Fraction(other)
+            if not self.terms:
+                return self
             return Poly(self.space, {k: v * c for k, v in self.terms.items()})
         self._require_same_space(other)
+        if not self.terms or not other.terms:
+            return self if not self.terms else other
         out: dict[tuple[tuple[int, ...], int], Fraction] = {}
         for (ea, ha), ca in self.terms.items():
             for (eb, hb), cb in other.terms.items():
@@ -229,6 +238,8 @@ class Poly:
     # ------------------------------------------------------------- calculus
     def partial(self, var: str) -> "Poly":
         i = self.space.index(var)
+        if not self.terms:
+            return self
         out: dict[tuple[tuple[int, ...], int], Fraction] = {}
         for (exps, hpow), c in self.terms.items():
             e = exps[i]
@@ -241,6 +252,8 @@ class Poly:
 
     def h_shift(self, k: int = 1) -> "Poly":
         """Multiply by h^k (k may be negative only if every term allows it)."""
+        if not self.terms:
+            return self
         out = {}
         for (exps, hpow), c in self.terms.items():
             if hpow + k < 0:

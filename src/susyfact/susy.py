@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -373,12 +374,11 @@ def construct(P: SecondOrderOperator, phi: Poly, psi: Poly) -> SusyVerdict:
 def verify_structure(P: SecondOrderOperator, s: SusyStructure) -> SusyVerdict:
     """Exact check of the factorization identity for a candidate structure;
     the witness of a failure is the first nonzero coefficient of P - Q, for
-    the assembled Q, in the order B, v, v0."""
+    the assembled Q, in the order B, v, v0.  Entries are compared with !=,
+    which is polynomial identity; only the witness is subtracted."""
     Q = assemble_factorization(s.A, s.phi, s.psi, P.semiclassical)
-    n = P.space.n
-    diffs = [P.B[j][k] - Q.B[j][k] for j in range(n) for k in range(n)]
-    diffs += [P.v[j] - Q.v[j] for j in range(n)] + [P.v0 - Q.v0]
-    diff = next((d for d in diffs if not d.is_zero), None)
+    pairs = zip([*chain(*P.B), *P.v, P.v0], [*chain(*Q.B), *Q.v, Q.v0])
+    diff = next((p - q for p, q in pairs if p != q), None)
     if diff is None:
         return SusyVerdict("verified", structure=s)
     return SusyVerdict("necessary_condition_failed", failure_witness=diff)

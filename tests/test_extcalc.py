@@ -40,6 +40,36 @@ def test_homotopy_inverse_delta_solves(field):
         assert divergence(sp, C, k) == v[k]
 
 
+@st.composite
+def sparse_divergence_free_fields(draw):
+    # as above, with each G_jk zero with probability 1/2, so that some v_k
+    # vanish: v_k = 0 whenever column k of G is zero
+    sp = VarSpace.make(NAMES[:draw(st.integers(2, 4))])
+    n = sp.n
+    G = [[Poly.zero(sp)] * n for _ in range(n)]
+    for j in range(n):
+        for k in range(j + 1, n):
+            if draw(st.booleans()):
+                G[j][k] = draw(polys(sp, max_deg=3, max_hpow=2, max_terms=3))
+                G[k][j] = -G[j][k]
+    return sp, [divergence(sp, G, k) for k in range(n)]
+
+
+@given(sparse_divergence_free_fields())
+@settings(max_examples=40, deadline=None)
+def test_homotopy_inverse_delta_zero_pattern(field):
+    # C has a zero diagonal, and C_jk is the zero polynomial when v_j = v_k = 0
+    sp, v = field
+    C = homotopy_inverse_delta(sp, v)
+    for j in range(sp.n):
+        assert C[j][j].is_zero
+        for k in range(sp.n):
+            assert C[j][k] == -C[k][j]
+            if v[j].is_zero and v[k].is_zero:
+                assert C[j][k].is_zero
+        assert divergence(sp, C, j) == v[j]
+
+
 def test_homotopy_inverse_delta_rejects_nonclosed():
     sp = VarSpace.make(["x1", "x2"])
     with pytest.raises(ExtCalcError):

@@ -50,15 +50,32 @@ def test_unweighted_laplacian_factorization():
 
 @st.composite
 def _factorization_data(draw):
-    sp = VarSpace.make(NAMES[:draw(st.integers(1, 3))])
-    A = draw(matrices(sp, max_deg=2, max_hpow=1, max_terms=2))
+    """A dense A, a sparse A (each entry zero with probability 1/2), or A of
+    the shape `construct` returns: a symmetric B plus an exactly antisymmetric
+    C, each entry again zero with probability 1/2."""
+    sp = VarSpace.make(NAMES[:draw(st.integers(1, 4))])
+    n = sp.n
+    entry = polys(sp, max_deg=2, max_hpow=1, max_terms=2)
+    sparse = st.one_of(st.just(Poly.zero(sp)), entry)
+    shape = draw(st.sampled_from(["dense", "sparse", "B + C"]))
+    if shape == "dense":
+        A = draw(matrices(sp, max_deg=2, max_hpow=1, max_terms=2))
+    elif shape == "sparse":
+        A = tuple(tuple(draw(sparse) for _ in range(n)) for _ in range(n))
+    else:
+        A = [[None] * n for _ in range(n)]
+        for j in range(n):
+            A[j][j] = draw(sparse)
+            for k in range(j + 1, n):
+                b, c = draw(sparse), draw(sparse)
+                A[j][k], A[k][j] = b + c, b - c
     phi = draw(polys(sp, max_deg=2, max_hpow=1, max_terms=3))
     psi = draw(polys(sp, max_deg=2, max_hpow=1, max_terms=3))
     return A, phi, psi
 
 
 @given(_factorization_data(), st.booleans())
-@settings(max_examples=25, deadline=None, phases=NO_SHRINK_PHASES)
+@settings(max_examples=40, deadline=None, phases=NO_SHRINK_PHASES)
 def test_assemble_factorization_against_literal_product(data, semiclassical):
     # applied to a generic u, the normal form -sum D_j B_jk D_k + sum v_j D_j + v0
     # equals sum_{j,k} (-D_j + d_j psi) A_kj (D_k + d_k phi)

@@ -9,8 +9,11 @@ the antisymmetric matrix
 
     C_jk = sum_d (x_j v_k^(d) - x_k v_j^(d)) / (n + d - 1)
 
-solves sum_j d_j C_jk = v_k exactly.  The returned matrix is re-verified
-against that identity before it leaves the function.
+solves sum_j d_j C_jk = v_k exactly.  Each pair is built once: C_jk for
+j < k as radial(j, k) - radial(k, j), with radial(j, k) = sum_d
+x_j v_k^(d) / (n + d - 1), and C_kj = -C_jk.  The diagonal is zero, and so
+is C_jk wherever v_j = v_k = 0, which is not computed.  The returned matrix
+is re-verified against the identity before it leaves the function.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .opcore import divergence
+from .opcore import divergence, zero_matrix
 from .polyalg import Poly, VarSpace
 
 
@@ -48,7 +51,12 @@ def homotopy_inverse_delta(space: VarSpace, v: Sequence[Poly]) -> list[list[Poly
             terms[(raised, hpow)] = c * Fraction(1, n + sum(exps) - 1)
         return Poly(space, terms)
 
-    C = [[radial(j, k) - radial(k, j) for k in range(n)] for j in range(n)]
+    C = zero_matrix(space)
+    for j in range(n):
+        for k in range(j + 1, n):
+            if not (v[j].is_zero and v[k].is_zero):
+                C[j][k] = radial(j, k) - radial(k, j)
+                C[k][j] = -C[j][k]
     for k in range(n):
         if divergence(space, [C[j][k] for j in range(n)], False) != v[k]:
             raise ExtCalcError("radial primitive failed its residual check")

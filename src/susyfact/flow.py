@@ -292,10 +292,10 @@ def _first_entry(q: np.ndarray, a: float, b: float, tol: float,
 def integrate(cfg: ChainConfig, state0: Sequence[float], t_span: tuple[float, float],
               n_samples: int = 200,
               stop_near: Optional[tuple[np.ndarray, float]] = None) -> Trajectory:
-    """Taylor-series integration of nu from a state whose second block is
-    zero; any other start is refused.  nu keeps that block zero, so only the
-    first block is integrated, and the trajectory carries the second block
-    as exact zeros.  t_span may
+    """Taylor-series integration of nu from a finite state whose second
+    block is zero; any other start is refused before any step.  nu keeps
+    that block zero, so only the first block is integrated, and the
+    trajectory carries the second block as exact zeros.  t_span may
     run backward (t1 < t0); the trajectory always has increasing times,
     n_samples of them, and meta["dense"] is the dense output.  With
     stop_near = (point, tol) the integration ends where the state first
@@ -310,6 +310,8 @@ def integrate(cfg: ChainConfig, state0: Sequence[float], t_span: tuple[float, fl
         p[exps[space.index(x1)]] = float(c)
     index = tuple(space.index(chain_var(space, c, 1)) for c in "xyz")
     state0 = np.asarray(state0, dtype=float)
+    if not np.all(np.isfinite(state0)):
+        raise UnsupportedConfig(f"integrate starts only from a finite state, not {state0.tolist()}")
     if np.any(np.delete(state0, index)):
         raise UnsupportedConfig("integrate starts only from states whose second block is zero")
     if stop_near is not None:

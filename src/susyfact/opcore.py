@@ -45,9 +45,11 @@ def D(f: Poly, j: int, semiclassical: bool) -> Poly:
 def divergence(space: VarSpace, X: Sequence[Poly], semiclassical: bool,
                g: Sequence[Poly] | None = None) -> Poly:
     """The weighted divergence sum_j (D_j - g_j) X_j, or sum_j D_j X_j when g
-    is None."""
+    is None; zero components are skipped."""
     out = Poly.zero(space)
     for j, Xj in enumerate(X):
+        if Xj.is_zero:
+            continue
         out = out + D(Xj, j, semiclassical)
         if g is not None:
             out = out - g[j] * Xj
@@ -106,7 +108,7 @@ class SecondOrderOperator:
 
         Built from the identity e^{s phi/h} D_j e^{-s phi/h} = D_j - s d_j phi,
         so every coefficient stays polynomial in x and h: with g = s d phi and
-        w = B g, v becomes v + 2w and v0 becomes
+        w = B g (zero entries of B skipped), v becomes v + 2w and v0 becomes
         v0 - sum_j v_j g_j + sum_j (D_j - g_j) w_j.
         """
         if sign not in (1, -1):
@@ -117,7 +119,8 @@ class SecondOrderOperator:
         zero = Poly.zero(self.space)
         g = [phi.partial(name) * sign for name in self.space.names]
         B = self.B
-        w = [sum((B[j][k] * g[k] for k in range(n)), zero) for j in range(n)]
+        w = [sum((B[j][k] * g[k] for k in range(n) if not B[j][k].is_zero), zero)
+             for j in range(n)]
         v_new = [self.v[j] + 2 * w[j] for j in range(n)]
         v0_new = (self.v0 - sum((self.v[j] * g[j] for j in range(n)), zero)
                   + divergence(self.space, w, self.semiclassical, g))
@@ -243,7 +246,10 @@ class KernelTestReport:
 
 
 def zero_matrix(space: VarSpace) -> list[list[Poly]]:
-    return [[Poly.zero(space) for _ in range(space.n)] for _ in range(space.n)]
+    """The n x n zero matrix; its entries share one zero polynomial, which is
+    immutable."""
+    zero = Poly.zero(space)
+    return [[zero] * space.n for _ in range(space.n)]
 
 
 def identity_matrix(space: VarSpace, scale=1) -> list[list[Poly]]:

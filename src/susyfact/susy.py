@@ -93,7 +93,18 @@ def assemble_factorization(A: Sequence[Sequence[Poly]], phi: Poly, psi: Poly,
                            semiclassical: bool = True) -> SecondOrderOperator:
     """Expand u -> sum_j (-D_j + d_j psi)[ sum_k A_{kj} (D_k u + (d_k phi) u) ]
     into divergence normal form.  The second-order block is exactly the
-    symmetric part of A."""
+    symmetric part of A, built once per pair:
+
+        B_jj = A_jj,    B_jk = B_kj = (A_jk + A_kj) / 2   (j < k),
+
+    with the pair skipped when A_jk and A_kj are both zero.  With w = A^T d phi,
+
+        v_k = sum_j A_kj d_j psi - w_k - sum_j D_j (A_kj - B_kj),
+        v0 = -sum_j (D_j - d_j psi) w_j,
+
+    where A_kj - B_kj = (A_kj - A_jk) / 2 is the antisymmetric part of A: zero
+    on the diagonal, and A_kj itself, with nothing to compute, wherever B_kj
+    is zero."""
     space = phi.space
     n = space.n
     if psi.space != space or any(p.space != space for row in A for p in row):
@@ -104,11 +115,16 @@ def assemble_factorization(A: Sequence[Sequence[Poly]], phi: Poly, psi: Poly,
     gphi = [phi.partial(name) for name in space.names]
     gpsi = [psi.partial(name) for name in space.names]
     zero = Poly.zero(space)
-    B = [[(A[j][k] + A[k][j]) * Fraction(1, 2) for k in range(n)] for j in range(n)]
-    # w = A^T d phi; column k of T = (A^T - A)/2 enters v_k through its divergence
+    half = Fraction(1, 2)
+    B = zero_matrix(space)
+    for j in range(n):
+        B[j][j] = A[j][j]
+        for k in range(j + 1, n):
+            if not (A[j][k].is_zero and A[k][j].is_zero):
+                B[j][k] = B[k][j] = (A[j][k] + A[k][j]) * half
     w = [sum((A[k][j] * gphi[k] for k in range(n)), zero) for j in range(n)]
     v = [sum((A[k][j] * gpsi[j] for j in range(n)), zero) - w[k]
-         - divergence(space, [(A[k][j] - A[j][k]) * Fraction(1, 2) for j in range(n)],
+         - divergence(space, [zero if j == k else A[k][j] - B[k][j] for j in range(n)],
                       semiclassical)
          for k in range(n)]
     v0 = -divergence(space, w, semiclassical, gpsi)

@@ -76,10 +76,11 @@ def test_cascade_requires_unit_gamma(cfg):
 
 
 def test_quintic_probe_refuses_unit_gamma_before_integrating(cfg, monkeypatch):
-    """gamma != 1, n != 1, a start off the first block and a stationary
-    point of the drift (the minimum (1, 0, 1, 0, 0, 0) and the saddle at the
-    origin), where phi0 stays constant, are unsupported regimes (exit 2), not
-    numerical failures, and are refused before any step."""
+    """gamma != 1, n != 1, a start off the first block, a non-finite start
+    (inf or nan) and a stationary point of the drift (the minimum
+    (1, 0, 1, 0, 0, 0) and the saddle at the origin), where phi0 stays
+    constant, are unsupported regimes (exit 2), not numerical failures, and
+    are refused before any step."""
     n2 = ChainConfig.from_json_dict({"n": 2, "W1": "1/4*x1_1^4 - 1/2*x1_1^2 + 1/4*x1_2^4",
                                      "W2": "1/2*x2_1^2 + 1/2*x2_2^2", "deltaW": "0",
                                      "alpha1": "1", "alpha2": "2", "gamma": "1"})
@@ -87,6 +88,8 @@ def test_quintic_probe_refuses_unit_gamma_before_integrating(cfg, monkeypatch):
                 [0.5, 0.0, 0.1, 0.0, 0.0, 0.0], "gamma = 1"),
                (n2, [0.5] + [0.0] * 11, "n = 1"),
                (cfg, [0.5, 0.0, 0.1, 0.2, 0.0, 0.0], "second block is zero"),
+               (cfg, [math.inf, 0.0, math.inf, 0.0, 0.0, 0.0], "finite state"),
+               (cfg, [math.nan, 0.0, math.nan, 0.0, 0.0, 0.0], "finite state"),
                (cfg, [1.0, 0.0, 1.0, 0.0, 0.0, 0.0], "stationary point"),
                (cfg, [0.0, 0.0, 0.0, 0.0, 0.0, 0.0], "stationary point")]
 

@@ -313,6 +313,24 @@ def test_construct_n2_chain_matches_golden(name):
     assert got == (GOLDEN / f"construct_chain_n2_{name}.json").read_bytes()
 
 
+def test_verify_structure_additions_pinned(monkeypatch):
+    # the work of re-verifying construct's A for the n = 2 equal-temperature
+    # chain, counted in Poly additions: B and the antisymmetric part are built
+    # once per pair, and zero entries are skipped (768 when every ordered
+    # pair was formed)
+    b = make_chain(ChainConfig.from_json_dict(N2_CHAINS["equal"]))
+    verdict = construct(b.conjugated, b.phi0, b.phi0)
+    calls = []
+    add = Poly.__add__
+
+    def counted(self, other):
+        calls.append(None)
+        return add(self, other)
+    monkeypatch.setattr(Poly, "__add__", counted)
+    assert verify_structure(b.conjugated, verdict.structure).status == "verified"
+    assert len(calls) == 480
+
+
 def _random_system(rng: random.Random, kind: str):
     """A sparse rational system of one kind: full column rank and consistent,
     rank-deficient (dependent rows and free columns) and consistent,

@@ -164,17 +164,29 @@ class Segments:
                         np.concatenate([self.coef, later.coef]), self.index, self.dim)
 
 
-def _w1_prime(cfg: ChainConfig) -> Poly:
-    """W1' in x1, for the regime the heteroclinic construction covers: n = 1,
-    gamma = 1 and a W1' that is not constant."""
+def _w1_prime(cfg: ChainConfig) -> list[Fraction]:
+    """W1''s exact coefficients by ascending power of x1, for the regime the
+    heteroclinic construction covers: n = 1, gamma = 1, a W1' that is not
+    constant, and no alpha or nonzero coefficient of W1 or W2 whose float
+    overflows or rounds to 0."""
     if cfg.n != 1 or cfg.gamma != 1:
         raise UnsupportedConfig("the heteroclinic construction supports n = 1 and gamma = 1 only")
-    x1 = chain_var(cfg.space, "x", 1)
-    w1p = cfg.W1.partial(x1)
-    if w1p.degree_in([x1]) == 0:
+    for name, key, c in [("alpha1", None, cfg.alpha1), ("alpha2", None, cfg.alpha2)] + [
+            (name, key, c) for name in ("W1", "W2") for key, c in getattr(cfg, name).terms.items()]:
+        try:
+            fails = "rounds to 0" if float(c) == 0 else ""
+        except OverflowError:
+            fails = "overflows"
+        if fails:
+            term = "" if key is None else f"the coefficient of {Poly(cfg.space, {key: 1})} in "
+            raise UnsupportedConfig(f"{term}{name} {fails} as a float; the flow computes in floats")
+    ix1 = cfg.space.index(chain_var(cfg.space, "x", 1))
+    W1 = {exps[ix1]: c for (exps, _), c in cfg.W1.terms.items()}
+    a = [e * W1.get(e, Fraction(0)) for e in range(1, max(W1, default=0) + 1)]
+    if len(a) < 2:
         raise UnsupportedConfig("the heteroclinic construction needs an h-free W1 whose "
                                 "derivative is not constant")
-    return w1p
+    return a
 
 
 def _taylor_coefficients(x: float, y: float, z: float,
@@ -303,11 +315,7 @@ def integrate(cfg: ChainConfig, state0: Sequence[float], t_span: tuple[float, fl
     (meta["terminated_by_event"]); a stationary point's second block is
     zero, since W2 is a positive definite quadratic form."""
     space = cfg.space
-    x1 = chain_var(space, "x", 1)
-    w1p = _w1_prime(cfg)
-    p = [0.0] * (w1p.degree_in([x1]) + 1)
-    for (exps, _), c in w1p.terms.items():
-        p[exps[space.index(x1)]] = float(c)
+    p = [float(c) for c in _w1_prime(cfg)]
     index = tuple(space.index(chain_var(space, c, 1)) for c in "xyz")
     state0 = np.asarray(state0, dtype=float)
     if not np.all(np.isfinite(state0)):
@@ -391,15 +399,14 @@ def _saddle_and_targets(cfg: ChainConfig) -> tuple[np.ndarray, np.ndarray, float
     points are (r, 0, r, 0, 0, 0) for the real roots r of W1', and each is
     classified by the root triple of W1''(r)."""
     space = cfg.space
-    x1 = chain_var(space, "x", 1)
-    ix1 = space.index(x1)
+    ix1 = space.index(chain_var(space, "x", 1))
     w1p = _w1_prime(cfg)
-    w1pp = w1p.partial(x1)
+    w1pp = [(float(e * c), e - 1) for e, c in enumerate(w1p) if e and c]
     saddles, minima = [], []
-    for r in spectral.real_roots(w1p, x1):
+    for r in spectral.real_roots(w1p):
         pt = np.zeros(space.n)
         pt[[ix1, space.index(chain_var(space, "z", 1))]] = r
-        w = w1pp.evaluate(dict(zip(space.names, pt)))
+        w = sum(c * float(r) ** e for c, e in w1pp)
         cls = spectral.classify_roots(w)
         if cls == "one_negative":
             saddles.append((pt, w))
@@ -579,8 +586,7 @@ def quintic_bound_probe(cfg: ChainConfig, points: Sequence[Sequence[float]]) -> 
         # and a stationary point
         x, y, z = (point[i] for i in index)
         if y == 0 and z == x and math.isfinite(x) and not np.any(np.delete(point, index)):
-            w1p = _w1_prime(cfg)
-            if sum(c * Fraction(x) ** e[index[0]] for (e, _), c in w1p.terms.items()) == 0:
+            if sum(c * Fraction(x) ** e for e, c in enumerate(_w1_prime(cfg))) == 0:
                 raise UnsupportedConfig(f"{point} is a stationary point of the drift, "
                                         "where phi0 stays constant")
         dense = integrate(cfg, point, (0.0, PROBE_T_MAX)).meta["dense"]

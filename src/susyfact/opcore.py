@@ -45,13 +45,14 @@ def D(f: Poly, j: int, semiclassical: bool) -> Poly:
 def divergence(space: VarSpace, X: Sequence[Poly], semiclassical: bool,
                g: Sequence[Poly] | None = None) -> Poly:
     """The weighted divergence sum_j (D_j - g_j) X_j, or sum_j D_j X_j when g
-    is None; zero components are skipped."""
-    out = Poly.zero(space)
-    for j, Xj in enumerate(X):
-        if Xj.is_zero:
-            continue
-        out = out + D(Xj, j, semiclassical)
-        if g is not None:
+    is None; zero components are skipped, and h multiplies the sum of the
+    partials once."""
+    nonzero = [(j, Xj) for j, Xj in enumerate(X) if not Xj.is_zero]
+    out = sum((Xj.partial(space.names[j]) for j, Xj in nonzero), Poly.zero(space))
+    if semiclassical:
+        out = out.h_shift(1)
+    if g is not None:
+        for j, Xj in nonzero:
             out = out - g[j] * Xj
     return out
 

@@ -28,8 +28,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .polyalg import Poly, VarSpace, parse_poly
-
 
 # ------------------------------------------------------------ root finding
 
@@ -50,34 +48,27 @@ def _divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[
     return q, a
 
 
-def real_roots(p: Poly, var: str) -> list[float]:
-    """Real roots of a polynomial p in `var` alone, sorted, each multiple
-    root once.  f = p / gcd(p, p'), with the gcd from Euclid's algorithm
-    over Q and f = p where the gcd is constant, has only simple roots; the
-    real eigenvalues of its companion matrix are each polished by up to 5
-    Newton steps on f and kept where |f| < ROOT_TOL max(1, |x|)."""
-    i = p.space.index(var)
-    terms = [(c, exps[i]) for (exps, _), c in p.terms.items()]
-    a = [Fraction(0)] * (max((e for _, e in terms), default=0) + 1)
-    for c, e in terms:
-        a[e] += c
+def real_roots(a: Sequence[Fraction]) -> list[float]:
+    """Real roots of p = sum_e a[e] x^e, the exact coefficients by ascending
+    power with a[-1] != 0, sorted, each multiple root once.  f = p / gcd(p,
+    p'), with the gcd from Euclid's algorithm over Q and f = p where the gcd
+    is constant, has only simple roots; the real eigenvalues of its
+    companion matrix are each polished by up to 5 Newton steps on f and kept
+    where |f| < ROOT_TOL max(1, |x|).  f and f' are summed by ascending
+    power, so the roots depend on p alone."""
+    a = [Fraction(c) for c in a]
     g, b = a, [e * c for e, c in enumerate(a)][1:]
     while b:
         g, b = b, _divmod(g, b)[1]
-    if len(g) > 1:
-        terms = [(c, e) for e, c in enumerate(_divmod(a, g)[0]) if c]
+    q = _divmod(a, g)[0] if len(g) > 1 else a
 
     def value(data: list[tuple[float, int]], x: float) -> float:
         return sum(c * x ** e for c, e in data)
 
-    f = [(float(c), e) for c, e in terms]
-    fp = [(float(c * e), e - 1) for c, e in terms if e]
-    deg = max((e for _, e in f), default=0)
-    coeffs = np.zeros(deg + 1)
-    for c, e in f:
-        coeffs[deg - e] = c
+    f = [(float(c), e) for e, c in enumerate(q) if c]
+    fp = [(float(e * c), e - 1) for e, c in enumerate(q) if e and c]
     out = []
-    for r in np.roots(coeffs):
+    for r in np.roots([float(c) for c in reversed(q)]):
         if abs(r.imag) > 1e-8:
             continue
         x = r.real
@@ -149,7 +140,7 @@ def G(lam: float) -> float:
 def F_critical_point() -> tuple[float, float]:
     """The unique critical point m > 1 of F, the one real root of
     G = 1 - 2 lambda + 4 lambda^2 - 2 lambda^3, and the value F(m) < 0."""
-    (r,) = real_roots(parse_poly(VarSpace.make(["lam"]), "1 - 2*lam + 4*lam^2 - 2*lam^3"), "lam")
+    (r,) = real_roots([1, -2, 4, -2])
     m = float(r)
     return m, float(F(m))
 

@@ -363,6 +363,33 @@ def test_a_double_root_of_w1_prime_exits_2_at_once(tmp_path):
     assert "W1 has 0 saddles" in proc.stderr
 
 
+BIG = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"W1": f"{BIG}*x1^4 - 1/2*x1^2 + 1/4"}, "the coefficient of x1^4 in W1 overflows"),
+    ({"W1": f"1/4*x1^4 - 1/2*x1^2 + 1/{BIG}"}, "the coefficient of 1 in W1 rounds to 0"),
+    ({"W2": f"{BIG}*x2^2"}, "the coefficient of x2^2 in W2 overflows"),
+    ({"alpha1": f"1/{BIG}"}, "alpha1 rounds to 0"),
+    ({"alpha2": BIG}, "alpha2 overflows"),
+], ids=["W1-large", "W1-small", "W2-large", "alpha1-small", "alpha2-large"])
+def test_chain_data_without_floats_exits_2(tmp_path, capsys, monkeypatch, changes, message):
+    # the orbit is computed in floats, so a chain whose data have none is
+    # refused before any step; the exact commands still take it
+    path = _unequal_with(tmp_path, **changes)
+    for command in ("check", "construct"):
+        assert main([command, "--config", path]) == EXIT_MATH, command
+    capsys.readouterr()
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated before refusing")
+    monkeypatch.setattr("susyfact.flow.integrate", no_integration)
+    for command in ("flow", "obstruct"):
+        assert main([command, "--config", path]) == EXIT_USAGE, command
+        captured = capsys.readouterr()
+        assert not captured.out and message in captured.err, command
+
+
 def test_a_seed_within_endpoint_tol_is_refused_before_integrating(tmp_path, capsys, monkeypatch):
     # wells at +-0.01: the seed at 1e-6 of the distance to a minimum lies
     # within endpoint_tol = 1e-7 of the saddle, so no forward leg can enter
@@ -461,6 +488,20 @@ def test_spectral_determinism(tmp_path):
     assert main(["spectral", "--w-grid=-10:10:50", "--seed", "1",
                  "--out", str(b)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_flow_and_obstruct_do_not_depend_on_the_term_order(tmp_path):
+    # one tilted double well written with falling and with rising powers:
+    # W1' has three terms, summed by ascending power either way
+    outs = []
+    for W1 in ("1/4*x1^4 - 1/2*x1^2 + 1/5*x1 + 1/4", "1/4 + 1/5*x1 - 1/2*x1^2 + 1/4*x1^4"):
+        d = tmp_path / str(len(outs))
+        d.mkdir()
+        path = _unequal_with(d, W1=W1)
+        assert main(["flow", "--config", path, "--out", str(d / "flow.json")]) == EXIT_OK
+        assert main(["obstruct", "--config", path, "--out", str(d / "obs.json")]) == EXIT_OK
+        outs.append([(d / name).read_bytes() for name in ("flow.json", "flow.csv", "obs.json")])
+    assert outs[0] == outs[1]
 
 
 # The particular structure construct returns is behaviour: these reports of

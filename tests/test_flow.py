@@ -145,6 +145,26 @@ def test_a_double_root_of_w1_prime_is_no_saddle():
             _saddle_and_targets(cfg)
 
 
+@settings(max_examples=25, deadline=None, phases=NO_SHRINK_PHASES)
+@given(st.fractions(Fraction(1, 10), 10, max_denominator=20),
+       st.fractions(Fraction(1, 2), 2, max_denominator=20),
+       st.fractions(Fraction(-9, 10), Fraction(9, 10), max_denominator=50),
+       st.fractions(-1, 1, max_denominator=10))
+def test_saddle_and_targets_do_not_depend_on_the_term_order(a, s, u, d):
+    # W1 = a (x^4/4 - s^2 x^2/2 + t x) + d with |t| < 0.38 s^3, below the
+    # tilt 2 s^3 / sqrt(27) at which two stationary points merge: a tilted
+    # double well, written with falling and with rising powers
+    t = u * Fraction(38, 100) * s ** 3
+    terms = [(a / 4, "*x1^4"), (-a * s ** 2 / 2, "*x1^2"), (a * t, "*x1"), (d, "")]
+    got = []
+    for order in (terms, terms[::-1]):
+        W1 = " ".join(f"{'-' if c < 0 else '+'} {abs(c)}{m}" for c, m in order if c)
+        saddle, vec, mu1, targets = _saddle_and_targets(_double_well_chain(W1))
+        got.append(repr((saddle.tolist(), vec.tolist(), mu1,
+                         [(sign, p.tolist(), rate) for sign, p, rate in targets])))
+    assert got[0] == got[1]
+
+
 def test_cascade_point_classification(cfg):
     assert cascade_check(cfg, [0.5, 0.0, 0.1, 0, 0, 0]).case == "generic"
     assert cascade_check(cfg, [0.5, 0.3, 0.5, 0, 0, 0]).case == "y_nonzero_degenerate"

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susyfact.polyalg import VarSpace, parse_poly
 from susyfact.spectral import (F, F_critical_point, G, classify_roots, cubic_roots, real_roots,
                                w_grid_report)
 
@@ -98,8 +97,7 @@ def test_F_and_G_relation():
 
 def test_real_roots_of_double_well_gradient():
     # critical points of the double well: roots of W' = x^3 - x
-    sp = VarSpace.make(["x1"])
-    roots = real_roots(parse_poly(sp, "x1^3 - x1"), "x1")
+    roots = real_roots([0, -1, 0, 1])
     assert len(roots) == 3
     assert max(abs(a - b) for a, b in zip(roots, (-1.0, 0.0, 1.0))) < 1e-10
 
@@ -107,9 +105,8 @@ def test_real_roots_of_double_well_gradient():
 def test_real_roots_merges_a_double_root():
     # x (x - 1)^2 and x (x^2 - 1)^2: each double root is found once, from
     # the companion matrix of p / gcd(p, p')
-    sp = VarSpace.make(["x1"])
-    assert real_roots(parse_poly(sp, "x1^3 - 2*x1^2 + x1"), "x1") == [0.0, 1.0]
-    assert real_roots(parse_poly(sp, "x1^5 - 2*x1^3 + x1"), "x1") == [-1.0, 0.0, 1.0]
+    assert real_roots([0, 1, -2, 1]) == [0.0, 1.0]
+    assert real_roots([0, 1, 0, -2, 0, 1]) == [-1.0, 0.0, 1.0]
 
 
 # ------------------------------------------------------------ linearization

@@ -12,8 +12,8 @@ Inputs are JSON files (operator specs, chain configs) or bundled model names;
 polynomial flags use an inline mini-grammar: sums of monomials with rational
 coefficients, e.g. "1/4*x1^4 - 1/2*x1^2" or "h*y1*z1" (h is the semiclassical
 parameter).  Reports are JSON with a schema_version field and canonical
-formatting (sorted keys, 17 significant digits), so identical inputs produce
-byte-identical outputs; trajectories are CSV.
+formatting (sorted keys, each float as its shortest repr), so identical
+inputs produce byte-identical outputs; trajectories are CSV.
 
 Exit codes: 0 success, 1 mathematical failure (a condition the command was
 asked to verify does not hold), 2 usage or input error, 3 numerical failure
@@ -63,7 +63,7 @@ def _canon(value):
             return "nan"
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
-        return float(format(value, ".17g"))
+        return float(value)
     if isinstance(value, complex):
         return [_canon(value.real), _canon(value.imag)]
     raise UsageError(f"cannot serialize value of type {type(value).__name__}")

@@ -123,15 +123,14 @@ class Trajectory:
 # 14 (2005), section 3.2).
 ORDER = 24
 STEP_EPS = 1e-16
-# times whose steps `Segments` evaluates together
-GATHER_BLOCK = 256
 
 
 @dataclass(frozen=True)
 class Segments:
     """Dense output of `integrate`: on step i the first block (x1, y1, z1) is
-    sum_k coef[i, :, k] (t - t0[i])^k, for t from lo[i] to the next step's
-    lo; the steps are sorted by lo, and the second block is zero."""
+    sum_k coef[i, :, k] (t - t0[i])^k from lo[i] to the next step's lo, with
+    t0[i] at lo[i] on a forward leg and at the next lo on a backward one; the
+    steps are sorted by lo, and the second block is zero."""
 
     t0: np.ndarray
     lo: np.ndarray
@@ -145,17 +144,14 @@ class Segments:
         ts = np.atleast_1d(t)
         i = np.maximum(np.searchsorted(self.lo, ts, side="right") - 1, 0)
         tau = (ts - self.t0[i])[:, None]
+        # the steps' coefficients are gathered order first, so that each
+        # Horner step reads contiguous memory
+        c = self.coef[i].transpose(2, 0, 1).copy()
+        v = c[ORDER]
+        for k in range(ORDER - 1, -1, -1):
+            v = v * tau + c[k]
         out = np.zeros((self.dim, len(ts)))
-        rows = list(self.index)
-        # the steps' coefficients are gathered GATHER_BLOCK times at a time,
-        # so that a long scan makes no (k, 3, ORDER + 1) temporary, and
-        # order first, so that each Horner step reads contiguous memory
-        for b in range(0, len(ts), GATHER_BLOCK):
-            c = self.coef[i[b:b + GATHER_BLOCK]].transpose(2, 0, 1).copy()
-            v = c[ORDER]
-            for k in range(ORDER - 1, -1, -1):
-                v = v * tau[b:b + GATHER_BLOCK] + c[k]
-            out[rows, b:b + GATHER_BLOCK] = v.T
+        out[list(self.index)] = v.T
         return out[:, 0] if t.ndim == 0 else out
 
     def join(self, later: "Segments") -> "Segments":
@@ -167,12 +163,16 @@ class Segments:
 def _w1_prime(cfg: ChainConfig) -> list[Fraction]:
     """W1''s exact coefficients by ascending power of x1, for the regime the
     heteroclinic construction covers: n = 1, gamma = 1, a W1' that is not
-    constant, and no alpha or nonzero coefficient of W1 or W2 whose float
-    overflows or rounds to 0."""
+    constant, and no alpha or nonzero coefficient of W1, W2, W1', W1'' or
+    phi0 whose float overflows or rounds to 0."""
     if cfg.n != 1 or cfg.gamma != 1:
         raise UnsupportedConfig("the heteroclinic construction supports n = 1 and gamma = 1 only")
+    x1 = chain_var(cfg.space, "x", 1)
+    W1p = cfg.W1.partial(x1)
+    polys = [("W1", cfg.W1), ("W2", cfg.W2), ("W1'", W1p), ("W1''", W1p.partial(x1)),
+             ("phi0", chain_phi0(cfg))]
     for name, key, c in [("alpha1", None, cfg.alpha1), ("alpha2", None, cfg.alpha2)] + [
-            (name, key, c) for name in ("W1", "W2") for key, c in getattr(cfg, name).terms.items()]:
+            (name, key, c) for name, poly in polys for key, c in poly.terms.items()]:
         try:
             fails = "rounds to 0" if float(c) == 0 else ""
         except OverflowError:
@@ -180,13 +180,12 @@ def _w1_prime(cfg: ChainConfig) -> list[Fraction]:
         if fails:
             term = "" if key is None else f"the coefficient of {Poly(cfg.space, {key: 1})} in "
             raise UnsupportedConfig(f"{term}{name} {fails} as a float; the flow computes in floats")
-    ix1 = cfg.space.index(chain_var(cfg.space, "x", 1))
-    W1 = {exps[ix1]: c for (exps, _), c in cfg.W1.terms.items()}
-    a = [e * W1.get(e, Fraction(0)) for e in range(1, max(W1, default=0) + 1)]
-    if len(a) < 2:
+    ix1 = cfg.space.index(x1)
+    a = {exps[ix1]: c for (exps, _), c in W1p.terms.items()}
+    if max(a, default=0) < 1:
         raise UnsupportedConfig("the heteroclinic construction needs an h-free W1 whose "
                                 "derivative is not constant")
-    return a
+    return [a.get(e, Fraction(0)) for e in range(max(a) + 1)]
 
 
 def _taylor_coefficients(x: float, y: float, z: float,
@@ -456,10 +455,13 @@ def heteroclinic_gamma1(cfg: ChainConfig, endpoint_tol: float = 1e-7) -> Traject
     error scale STEP_EPS max(1, |minimum|), below which the orbit cannot
     close in.  Forward: ln(eps/endpoint_tol)/mu1 to close in on the saddle;
     a seed already within endpoint_tol of the saddle never enters the ball,
-    so it is refused before either leg."""
+    so its side is refused before either leg, and a config whose every side
+    is refused so is unsupported.  A side that ran and failed is a
+    FlowError."""
     saddle, stable, mu1, targets = _saddle_and_targets(cfg)
     phi0_fn = chain_phi0(cfg).compiled()
 
+    last_error = None
     for sign, minimum, rate in targets:
         d = float(np.linalg.norm(minimum - saddle))
         eps = 1e-6 * d
@@ -467,10 +469,9 @@ def heteroclinic_gamma1(cfg: ChainConfig, endpoint_tol: float = 1e-7) -> Traject
         tol = max(endpoint_tol, STEP_EPS * max(1.0, float(np.linalg.norm(minimum))))
         budgets = (BUDGET_SAFETY * (math.log(d / eps) / mu1 + max(math.log(d / tol), 0.0) / rate),
                    BUDGET_SAFETY * math.log(eps / endpoint_tol) / mu1)
+        if budgets[1] <= 0:
+            continue
         try:
-            if budgets[1] <= 0:
-                raise FlowError("forward orbit did not reach the saddle: the seed lies within "
-                                "endpoint_tol of it")
             traj = _shoot(cfg, seed, saddle, minimum, endpoint_tol, budgets)
         except FlowError as e:
             last_error = e
@@ -481,6 +482,10 @@ def heteroclinic_gamma1(cfg: ChainConfig, endpoint_tol: float = 1e-7) -> Traject
             continue
         traj.meta["mu1"] = mu1
         return traj
+    if last_error is None:
+        raise UnsupportedConfig(f"the shooting seed lies within endpoint_tol = {endpoint_tol:g} "
+                                "of the saddle on every side, so no forward leg can enter "
+                                "the ball around it")
     raise last_error
 
 

@@ -74,6 +74,8 @@ class Bump:
 # the heteroclinic's x1-range; `run_obstruction` refuses it for wells whose
 # saddle-minimum interval does not contain it.
 BUMP = Bump(0.3, 0.7)
+# how far from [0, 1], in s = tau/h, a root on a step may lie and still cross on it
+ROOT_SLACK = 1e-9
 
 
 # --------------------------------------------------------- graded hierarchy
@@ -202,18 +204,23 @@ class ObstructionReport:
         }
 
 
-def _support_times(bump: Bump, x1_of_t: Callable[[np.ndarray], np.ndarray],
-                   t0: float, t1: float) -> tuple[float, float, float, float]:
-    """Scan the orbit on a 4000-point grid: the first and last grid times
-    where the bump is positive, and around them the grid times just outside,
-    between which the whole support lies."""
-    ts = np.linspace(t0, t1, 4000)
-    nz = np.nonzero(bump(x1_of_t(ts)) > 0.0)[0]
-    if len(nz) == 0:
-        raise ObstructionError("the bump vanishes identically along the orbit")
-    i, j = nz[0], nz[-1]
-    return (float(ts[max(i - 1, 0)]), float(ts[i]), float(ts[j]),
-            float(ts[min(j + 1, len(ts) - 1)]))
+def _crossings(dense: flow.Segments, t0: float, t1: float,
+               levels: Sequence[float]) -> np.ndarray:
+    """The sorted times in [t0, t1] at which x1 equals one of the levels: on each
+    step where x1 = sum_k d_k s^k, s = tau/h in [0, 1], can reach a level within
+    sum_{k>=1} |d_k| of d_0, every root from the companion matrix, once at a boundary."""
+    h = np.where(dense.lo < dense.t0, dense.lo, np.append(dense.lo[1:], t1)) - dense.t0
+    d = dense.coef[:, 0] * h[:, None] ** np.arange(flow.ORDER + 1)
+    found = []
+    for i, k in zip(*np.nonzero(np.abs(d[:, :1] - levels) <= np.abs(d[:, 1:]).sum(1)[:, None])):
+        r = np.polynomial.polynomial.polyroots(np.append(d[i, 0] - levels[k], d[i, 1:]))
+        s = r.real[(abs(r.imag) <= ROOT_SLACK) & (abs(r.real - 0.5) <= 0.5 + ROOT_SLACK)]
+        found += [(dense.t0[i] + min(max(x, 0.0), 1.0) * h[i], abs(h[i])) for x in s]
+    found = [(t, w) for t, w in sorted(found) if t0 <= t <= t1]
+    if not found:
+        raise ObstructionError(f"x1 reaches none of {list(levels)} along the orbit")
+    return np.array([t for (t, w), (t_prev, w_prev) in zip(found, [(-math.inf, 0.0)] + found)
+                     if t - t_prev > ROOT_SLACK * (w + w_prev)])
 
 
 def _cumulative_integral(f: Callable[[np.ndarray], np.ndarray],
@@ -237,34 +244,32 @@ def transport_solve(cfg: ChainConfig, alpha: tuple[int, ...], c_alpha: complex,
     emit the non-smoothness diagnostics.
 
     By variation of constants, with I(t) = int_{s_lo}^t e^{as} g_alpha(s) ds
-    over the support [s_lo, s_hi] of g_alpha and K = I(s_hi), the branch
+    over the support [s_lo, s_hi] of g_alpha, from the first time x1 takes a
+    kink of BUMP to the last, and K = I(s_hi), the branch
     vanishing at the minimum is u_-(t) = e^{-at} I(t) and the branch vanishing
     at the saddle is u_+(t) = e^{-at} (I(t) - K).  Outside the support both
     are exact exponentials: past it |u_-| e^{Re(a) t} = |K|, and before it
     |u_+| = |K| e^{-Re(a) t} grows at the rate Re(a) toward the minimum, so
     the tail rate is Re(a) and its fit error and the constancy are 0.  K
     counts as vanished when |K| <= 1e-8 int |e^{as} g_alpha(s)| ds, far above
-    the quadrature's relative error of about 5e-11 and scale-free."""
-    space = cfg.space
+    the quadrature's relative error, below 1e-14, and scale-free."""
     a = _dot(lambdas, alpha)
     if a.real <= 0:
         raise ObstructionError("Re(lambda . alpha) must be positive")
     mu1 = float(gamma1.meta["mu1"])
 
-    state_of_t = flow.gamma1_interpolant(gamma1)
-    ix1 = space.index(chain_var(space, "x", 1))
-    x1_of_t = lambda t: state_of_t(t)[ix1]
+    dense = gamma1.meta["dense"]
     t0, t1 = float(gamma1.times[0]), float(gamma1.times[-1])
-    s_lo, t_lo, t_hi, s_hi = _support_times(BUMP, x1_of_t, t0, t1)
+    cross = _crossings(dense, t0, t1, (BUMP.lo, (BUMP.lo + BUMP.hi) / 2, BUMP.hi))
+    s_lo, s_hi = cross[0], cross[-1]
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        return np.exp(a * s) * c_alpha * BUMP(x1_of_t(s.ravel())).reshape(s.shape)
+        return np.exp(a * s) * c_alpha * BUMP(dense(s.ravel())[dense.index[0]]).reshape(s.shape)
 
-    ts_samp = np.linspace(max(t0, t_lo - 2.0), min(t1, t_hi + 6.0), 120)
-    # panel edges include every sample time inside the support, so I is
-    # known exactly where it is needed: at edges, or outside the support
-    edges = np.union1d(np.linspace(s_lo, s_hi, 41),
-                       ts_samp[(ts_samp > s_lo) & (ts_samp < s_hi)])
+    ts_samp = np.linspace(max(t0, s_lo - 2.0), min(t1, s_hi + 6.0), 120)
+    # panel edges are the crossings, so that no panel holds a kink, and the sample times
+    # inside the support, so I is known exactly where needed: at edges, or outside the support
+    edges = np.union1d(cross, ts_samp[(ts_samp > s_lo) & (ts_samp < s_hi)])
     cumulative, abs_integral = _cumulative_integral(integrand, edges)
     K_magnitude = float(abs(cumulative[-1]))
 

@@ -390,6 +390,34 @@ def test_chain_data_without_floats_exits_2(tmp_path, capsys, monkeypatch, change
         assert not captured.out and message in captured.err, command
 
 
+BIG307 = "1" + "0" * 307
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"W1": f"{BIG307}*x1^6 - 1/2*x1^2"}, "the coefficient of x1^4 in W1'' overflows"),
+    ({"W2": f"{BIG307}*x2^2", "alpha2": "1/1000"}, "the coefficient of x2^2 in phi0 overflows"),
+], ids=["W1-second-derivative", "phi0"])
+def test_derived_floats_that_overflow_exit_2(tmp_path, capsys, monkeypatch, changes, message):
+    # every datum has a float, but W1'' or phi0, which the flow evaluates
+    # in floats, has a coefficient that overflows: refused before any step
+    path = _unequal_with(tmp_path, **changes)
+    for command in ("check", "construct"):
+        assert main([command, "--config", path]) == EXIT_MATH, command
+    capsys.readouterr()
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated before refusing")
+    monkeypatch.setattr("susyfact.flow.integrate", no_integration)
+    for command in ("flow", "obstruct"):
+        assert main([command, "--config", path]) == EXIT_USAGE, command
+        captured = capsys.readouterr()
+        assert not captured.out and message in captured.err, command
+    # at equal temperatures obstruct returns before any numerics
+    alpha = changes.get("alpha2", "1")
+    assert main(["obstruct", "--config",
+                 _unequal_with(tmp_path, **dict(changes, alpha1=alpha, alpha2=alpha))]) == EXIT_OK
+
+
 def test_a_seed_within_endpoint_tol_is_refused_before_integrating(tmp_path, capsys, monkeypatch):
     # wells at +-0.01: the seed at 1e-6 of the distance to a minimum lies
     # within endpoint_tol = 1e-7 of the saddle, so no forward leg can enter
@@ -399,9 +427,10 @@ def test_a_seed_within_endpoint_tol_is_refused_before_integrating(tmp_path, caps
     def no_integration(*args, **kwargs):
         raise AssertionError("integrated before refusing")
     monkeypatch.setattr("susyfact.flow.integrate", no_integration)
-    assert main(["flow", "--config", path]) == EXIT_NUMERIC
-    assert capsys.readouterr().err == ("error: forward orbit did not reach the saddle: the seed "
-                                       "lies within endpoint_tol of it\n")
+    assert main(["flow", "--config", path]) == EXIT_USAGE
+    assert capsys.readouterr().err == ("error: the shooting seed lies within endpoint_tol = 1e-07 "
+                                       "of the saddle on every side, so no forward leg can enter "
+                                       "the ball around it\n")
 
 
 @pytest.mark.parametrize("changes, message", [

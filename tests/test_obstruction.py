@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -12,7 +13,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from susyfact import obstruction as ob
-from susyfact.flow import gamma1_interpolant, heteroclinic_gamma1, nu_apply
+from susyfact.cli import canonical_json
+from susyfact.flow import Segments, Trajectory, gamma1_interpolant, heteroclinic_gamma1, nu_apply
 from susyfact.models import (ChainConfig, chain_phi0, chain_var, default_chain_config,
                              hamiltonian_p)
 from susyfact.polyalg import Poly, parse_poly
@@ -367,6 +369,9 @@ ORACLE_CONFIGS = {
     "wells_pm2": {"W1": "1/16*x1^4 - 1/2*x1^2 + 1"},
     # mu1 = 1 at the saddle; a DOP853 step without max_step crosses this bump
     "mu1_one": {"W1": "3/8*x1^4 - 3/4*x1^2 + 3/8", "W2": "7/36*x2^2"},
+    # the orbit spans 1041 time units, and its first excursion into the
+    # bump lasts 0.056 of them
+    "deep_well": {"W1": "4*x1^4 - 8*x1^2 + 4"},
 }
 
 
@@ -380,6 +385,122 @@ def test_transport_matches_dop853_oracle(cfg, gamma1, changes):
     assert abs(rep.K_magnitude - K) < 1e-9 * K
     ours = np.array([complex(re, im) for _, re, im in rep.u_samples])
     assert np.max(np.abs(ours - u)) < 1e-9 * np.max(np.abs(u))
+
+
+@functools.lru_cache(maxsize=None)
+def _orbit(**changes):
+    """The unequal chain with these changes, and its heteroclinic orbit."""
+    c = ChainConfig.from_json_dict(dict(default_chain_config().to_json_dict(), **changes))
+    return c, heteroclinic_gamma1(c)
+
+
+def _x1_on_grid(gamma1, n):
+    """x1 at n equally spaced times over the orbit, evaluated in chunks."""
+    ts = np.linspace(gamma1.times[0], gamma1.times[-1], n)
+    dense = gamma1.meta["dense"]
+    ix1 = dense.index[0]
+    return ts, np.concatenate([dense(ts[i:i + 4096])[ix1] for i in range(0, n, 4096)])
+
+
+# the x1 at which the bump's third derivative jumps
+KINKS = (ob.BUMP.lo, (ob.BUMP.lo + ob.BUMP.hi) / 2, ob.BUMP.hi)
+
+# W1 and the number of crossings of the bump's three kink levels; on the
+# sextic and on 8 x1^4 - 16 x1^2 + 8 some step holds two crossings of one
+# level, which a test of the signs at the step ends alone would miss
+CROSSING_WELLS = {
+    "bundled": ("1/4*x1^4 - 1/2*x1^2 + 1/4", 3),
+    "wells-pm2": ("1/16*x1^4 - 1/2*x1^2 + 1", 3),
+    "mu1-one": ("3/8*x1^4 - 3/4*x1^2 + 3/8", 3),
+    "sextic": ("x1^6 - x1^4 - x1^2 + 1", 13),
+    "wells-pm1-steep": ("8*x1^4 - 16*x1^2 + 8", 231),
+    "deep-well": (ORACLE_CONFIGS["deep_well"]["W1"], 81),
+}
+
+
+@pytest.mark.parametrize("name", list(CROSSING_WELLS))
+def test_crossings_match_the_sign_changes_on_a_fine_grid(name):
+    W1, count = CROSSING_WELLS[name]
+    _, gamma1 = _orbit(W1=W1)
+    dense = gamma1.meta["dense"]
+    t0, t1 = gamma1.times[0], gamma1.times[-1]
+    ts, x1 = _x1_on_grid(gamma1, 10 ** 6)
+    total, twice_in_a_step = 0, False
+    for level in KINKS:
+        got = ob._crossings(dense, t0, t1, [level])
+        brackets = np.flatnonzero(np.diff(np.sign(x1 - level)))
+        assert len(got) == len(brackets), level
+        # each crossing lies between the two grid times around its sign change
+        assert np.all(ts[brackets] <= got) and np.all(got <= ts[brackets + 1]), level
+        steps = np.searchsorted(dense.lo, got, side="right") - 1
+        twice_in_a_step |= len(set(steps)) < len(steps)
+        total += len(got)
+    assert total == count
+    assert np.array_equal(ob._crossings(dense, t0, t1, KINKS),
+                          np.sort(np.concatenate([ob._crossings(dense, t0, t1, [level])
+                                                  for level in KINKS])))
+    assert twice_in_a_step == (name in ("sextic", "wells-pm1-steep"))
+
+
+def test_a_crossing_at_a_step_boundary_is_found_once():
+    # a level that x1 takes exactly at a step boundary: both steps that
+    # share it find the crossing, and it is kept once
+    _, gamma1 = _orbit()
+    dense = gamma1.meta["dense"]
+    t0, t1 = gamma1.times[0], gamma1.times[-1]
+    ix1 = dense.index[0]
+    bounds = [b for b in dense.lo[1:] if 0.2 < dense(b)[ix1] < 0.8]
+    assert len(bounds) >= 3
+    for b in bounds:
+        level = dense(b)[ix1]
+        got = ob._crossings(dense, t0, t1, [level])
+        assert len(got) == len(ob._crossings(dense, t0, t1, [level * (1 + 1e-9)]))
+        assert np.sum(np.abs(got - b) < 1e-9) == 1, b
+
+
+def test_crossings_refuse_an_orbit_that_misses_every_level():
+    _, gamma1 = _orbit()
+    with pytest.raises(ob.ObstructionError, match="reaches none"):
+        ob._crossings(gamma1.meta["dense"], gamma1.times[0], gamma1.times[-1], [1.5, -0.5])
+
+
+def _cut_before(gamma1, t_cut):
+    """The orbit from the start of the step that holds t_cut on: its steps
+    from there, and its times after that step's start."""
+    dense = gamma1.meta["dense"]
+    i = np.searchsorted(dense.lo, t_cut, side="right") - 1
+    kept = Segments(dense.t0[i:], dense.lo[i:], dense.coef[i:], dense.index, dense.dim)
+    times = np.concatenate(([dense.lo[i]], gamma1.times[gamma1.times > dense.lo[i]]))
+    return Trajectory(times, kept(times).T, dict(gamma1.meta, dense=kept))
+
+
+@pytest.mark.parametrize("name", ["chain_unequal", "deep_well"])
+def test_obstruct_reads_only_the_steps_near_the_support(name):
+    # the report depends on the orbit on [s_lo - 2, s_hi + 6] only: cut
+    # before s_lo - 3, the orbit gives the same JSON byte for byte
+    cfg, gamma1 = _orbit(**ORACLE_CONFIGS[name])
+    dense = gamma1.meta["dense"]
+    s_lo = ob._crossings(dense, gamma1.times[0], gamma1.times[-1], KINKS)[0]
+    cut = _cut_before(gamma1, s_lo - 3.0)
+    assert len(cut.meta["dense"].t0) < len(dense.t0) / 2
+    assert (canonical_json(ob.run_obstruction(cfg, gamma1=cut).to_json_dict())
+            == canonical_json(ob.run_obstruction(cfg, gamma1=gamma1).to_json_dict()))
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CONFIGS))
+def test_K_holds_when_every_panel_is_split_in_10(monkeypatch, name):
+    # every kink of the bump is a panel edge, so the 20-point rule has
+    # converged on each panel
+    cfg, gamma1 = _orbit(**ORACLE_CONFIGS[name])
+    K = ob.run_obstruction(cfg, gamma1=gamma1).K_magnitude
+    coarse = ob._cumulative_integral
+
+    def split(f, edges):
+        fine = edges[:-1, None] + np.diff(edges)[:, None] * np.arange(10) / 10
+        cumulative, abs_integral = coarse(f, np.append(fine, edges[-1]))
+        return cumulative[::10], abs_integral
+    monkeypatch.setattr(ob, "_cumulative_integral", split)
+    assert abs(ob.run_obstruction(cfg, gamma1=gamma1).K_magnitude - K) <= 1e-14 * K
 
 
 def test_equal_temperature_short_circuit():

@@ -206,9 +206,9 @@ class ObstructionReport:
 
 def _crossings(dense: flow.Segments, t0: float, t1: float,
                levels: Sequence[float]) -> np.ndarray:
-    """The sorted times in [t0, t1] at which x1 equals one of the levels: on each
-    step where x1 = sum_k d_k s^k, s = tau/h in [0, 1], can reach a level within
-    sum_{k>=1} |d_k| of d_0, every root from the companion matrix, once at a boundary."""
+    """The sorted times in [t0, t1] at which x1 equals a level: the real roots in
+    [0, 1], from the companion matrix, of x1 - level = sum_k d_k s^k - level on each
+    step (s = tau/h) with |d_0 - level| <= sum_{k>=1} |d_k|; a boundary root counts once."""
     h = np.where(dense.lo < dense.t0, dense.lo, np.append(dense.lo[1:], t1)) - dense.t0
     d = dense.coef[:, 0] * h[:, None] ** np.arange(flow.ORDER + 1)
     found = []

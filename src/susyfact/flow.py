@@ -14,6 +14,23 @@ the quintic lower bound phi0(exp(t nu) x) - phi0(x) >= t^5 / C.
 The heteroclinic orbit gamma1 from the well minimum (t -> -infinity) to the
 saddle (t -> +infinity) is computed by shooting backward from the saddle
 along its stable eigendirection; both endpoints are verified a posteriori.
+A caller that reads the orbit only after it has crossed a level x1 = b
+(`obstruction.run_obstruction`, with b the bump edge nearer the minimum m)
+may end the backward leg sooner, by a certificate in three steps:
+
+1. Lyapunov: nu(phi0) >= 0, so phi0 never rises backward in time.
+2. No re-entry: on {x1 = b} phi0 is least at y1 = 0, z1 = b, second block
+   zero, where it is c = W1(b)/alpha1 (W2 is a quadratic form).  Once a
+   step end t_c lies beyond b on m's side with phi0 < c, decided over Q,
+   the orbit never meets x1 = b before t_c, so every crossing of b lies
+   after t_c.
+3. LaSalle: where m is the only real root of W1' beyond b and W1 grows
+   without bound there, {phi0 < c} beyond b is bounded, its only stationary
+   point is m, and the orbit tends to m as t -> -infinity.
+
+The leg then ends a given time before t_c, on the steps a leg to the ball
+around m takes up to there; elsewhere it runs to the ball.  `flow` itself
+keeps the full orbit.
 
 `integrate` follows nu by its Taylor series (Jorba and Zou, Exp. Math. 14
 (2005) 99-117, section 3).  The orbit lies in the first block, where
@@ -160,17 +177,17 @@ class Segments:
                         np.concatenate([self.coef, later.coef]), self.index, self.dim)
 
 
-def _w1_prime(cfg: ChainConfig) -> list[Fraction]:
+def _w1_prime(cfg: ChainConfig, phi0: Poly) -> list[Fraction]:
     """W1''s exact coefficients by ascending power of x1, for the regime the
     heteroclinic construction covers: n = 1, gamma = 1, a W1' that is not
     constant, and no alpha or nonzero coefficient of W1, W2, W1', W1'' or
-    phi0 whose float overflows or rounds to 0."""
+    phi0 = chain_phi0(cfg) whose float overflows or rounds to 0."""
     if cfg.n != 1 or cfg.gamma != 1:
         raise UnsupportedConfig("the heteroclinic construction supports n = 1 and gamma = 1 only")
     x1 = chain_var(cfg.space, "x", 1)
     W1p = cfg.W1.partial(x1)
     polys = [("W1", cfg.W1), ("W2", cfg.W2), ("W1'", W1p), ("W1''", W1p.partial(x1)),
-             ("phi0", chain_phi0(cfg))]
+             ("phi0", phi0)]
     for name, key, c in [("alpha1", None, cfg.alpha1), ("alpha2", None, cfg.alpha2)] + [
             (name, key, c) for name, poly in polys for key, c in poly.terms.items()]:
         try:
@@ -302,7 +319,9 @@ def _first_entry(q: np.ndarray, a: float, b: float, tol: float,
 
 def integrate(cfg: ChainConfig, state0: Sequence[float], t_span: tuple[float, float],
               n_samples: int = 200,
-              stop_near: Optional[tuple[np.ndarray, float]] = None) -> Trajectory:
+              stop_near: Optional[tuple[np.ndarray, float]] = None,
+              stop_after: Optional[tuple[Callable[[list[float]], bool], float]] = None,
+              w1p: Optional[Sequence[Fraction]] = None) -> Trajectory:
     """Taylor-series integration of nu from a finite state whose second
     block is zero; any other start is refused before any step.  nu keeps
     that block zero, so only the first block is integrated, and the
@@ -312,9 +331,14 @@ def integrate(cfg: ChainConfig, state0: Sequence[float], t_span: tuple[float, fl
     stop_near = (point, tol) the integration ends where the state first
     enters the ball of radius tol around point's first block
     (meta["terminated_by_event"]); a stationary point's second block is
-    zero, since W2 is a positive definite quadratic form."""
+    zero, since W2 is a positive definite quadratic form.  With
+    stop_after = (test, run) it also ends at the first step end at least run
+    time units past the first step end t_c whose first block (x1, y1, z1)
+    passes test, unless the ball is entered first; meta["left_at"] is then
+    t_c, and None otherwise.  w1p is `_w1_prime`'s list, built here when
+    not given."""
     space = cfg.space
-    p = [float(c) for c in _w1_prime(cfg)]
+    p = [float(c) for c in (_w1_prime(cfg, chain_phi0(cfg)) if w1p is None else w1p)]
     index = tuple(space.index(chain_var(space, c, 1)) for c in "xyz")
     state0 = np.asarray(state0, dtype=float)
     if not np.all(np.isfinite(state0)):
@@ -326,13 +350,14 @@ def integrate(cfg: ChainConfig, state0: Sequence[float], t_span: tuple[float, fl
     t0, t1 = t_span
     t, state = t0, [float(state0[i]) for i in index]
     starts, steps, coefs = [], [], []
-    hit = None
-    while t != t1 and hit is None:
+    hit = t_c = None
+    left = False
+    while t != t1 and hit is None and not left:
         # up to SCREEN_CHUNK steps, from index `first`; those before `done`
         # end finite
         first = done = len(starts)
         failure = None
-        while done - first < SCREEN_CHUNK and t != t1:
+        while done - first < SCREEN_CHUNK and t != t1 and not left:
             try:
                 series = _taylor_coefficients(*state, p)
             except FlowError as e:
@@ -355,6 +380,10 @@ def integrate(cfg: ChainConfig, state0: Sequence[float], t_span: tuple[float, fl
                 break
             done += 1
             t = t_next
+            if stop_after is not None:
+                if t_c is None and stop_after[0](state):
+                    t_c = t
+                left = t_c is not None and abs(t - t_c) >= stop_after[1]
         # the finite steps are searched in order, but for those the screen
         # passes over; a failure after them raises only if none holds the entry
         if stop_near is not None and done > first:
@@ -374,11 +403,12 @@ def integrate(cfg: ChainConfig, state0: Sequence[float], t_span: tuple[float, fl
     order = slice(None) if t1 >= t0 else slice(None, None, -1)
     dense = Segments(t_starts[order], np.minimum(t_starts, t_starts + t_steps)[order],
                      np.array(coefs)[order], index, space.n)
-    ts = np.linspace(t0, t1 if hit is None else hit, n_samples)
+    ts = np.linspace(t0, t if hit is None else hit, n_samples)
     ys = dense(ts).T
     if ts[0] > ts[-1]:
         ts, ys = ts[::-1], ys[::-1]
-    meta = {"terminated_by_event": hit is not None, "dense": dense}
+    meta = {"terminated_by_event": hit is not None, "dense": dense,
+            "left_at": t_c if left and hit is None else None}
     return Trajectory(ts, ys, meta)
 
 
@@ -388,18 +418,17 @@ def integrate(cfg: ChainConfig, state0: Sequence[float], t_span: tuple[float, fl
 BUDGET_SAFETY = 2.0
 
 
-def _saddle_and_targets(cfg: ChainConfig) -> tuple[np.ndarray, np.ndarray, float,
-                                                    list[tuple[float, np.ndarray, float]]]:
+def _saddle_and_targets(cfg: ChainConfig, w1p: list[Fraction]) -> tuple[
+        np.ndarray, np.ndarray, float, list[tuple[float, np.ndarray, float]]]:
     """The saddle among the stationary points, the unit stable eigenvector of
     its linearization, mu1, and the shooting targets: (sign, minimum, rate)
     for the nearest minimum on each side of the saddle in x1, the side of
     increasing x1 first, where rate is the smallest real part of the
     eigenvalues at the minimum.  W2 is positive definite, so the stationary
-    points are (r, 0, r, 0, 0, 0) for the real roots r of W1', and each is
-    classified by the root triple of W1''(r)."""
+    points are (r, 0, r, 0, 0, 0) for the real roots r of W1' (coefficients
+    w1p), and each is classified by the root triple of W1''(r)."""
     space = cfg.space
     ix1 = space.index(chain_var(space, "x", 1))
-    w1p = _w1_prime(cfg)
     w1pp = [(float(e * c), e - 1) for e, c in enumerate(w1p) if e and c]
     saddles, minima = [], []
     for r in spectral.real_roots(w1p):
@@ -432,20 +461,76 @@ def _saddle_and_targets(cfg: ChainConfig) -> tuple[np.ndarray, np.ndarray, float
     return saddle, vec, -lam, targets
 
 
-def heteroclinic_x1_range(cfg: ChainConfig) -> tuple[float, float]:
-    """x1 at the saddle and at the minimum `heteroclinic_gamma1` shoots for
-    first, from the stationary points alone."""
-    saddle, _, _, targets = _saddle_and_targets(cfg)
-    ix1 = cfg.space.index(chain_var(cfg.space, "x", 1))
-    return float(saddle[ix1]), float(targets[0][1][ix1])
+@dataclass(frozen=True)
+class Well:
+    """A double well's exact data, built once per orbit by `well_data`:
+    W1''s coefficients by ascending power, phi0, the index of x1 in the
+    chain's variables, and the stationary data of `_saddle_and_targets`."""
+
+    w1p: list[Fraction]
+    phi0: Poly
+    ix1: int
+    saddle: np.ndarray
+    stable: np.ndarray
+    mu1: float
+    targets: list[tuple[float, np.ndarray, float]]
+
+    @property
+    def x1_range(self) -> tuple[float, float]:
+        """x1 at the saddle and at the minimum `heteroclinic_gamma1` shoots
+        for first."""
+        return float(self.saddle[self.ix1]), float(self.targets[0][1][self.ix1])
 
 
-def heteroclinic_gamma1(cfg: ChainConfig, endpoint_tol: float = 1e-7) -> Trajectory:
+def well_data(cfg: ChainConfig) -> Well:
+    """The Well of cfg, refused as `_w1_prime` and `_saddle_and_targets`
+    refuse it, before any step."""
+    phi0 = chain_phi0(cfg)
+    w1p = _w1_prime(cfg, phi0)
+    return Well(w1p, phi0, cfg.space.index(chain_var(cfg.space, "x", 1)),
+                *_saddle_and_targets(cfg, w1p))
+
+
+def _only_root_beyond(w1p: list[Fraction], b: Fraction, side: int) -> bool:
+    """Whether W1' (coefficients w1p) has exactly one distinct real root
+    beyond b on the given side (+1: x1 > b, -1: x1 < b) and none at b, and
+    W1 grows without bound on that side, decided over Q."""
+    far = w1p[-1] * side ** (len(w1p) - 1)  # the sign of W1' at side * infinity
+    return (_horner(w1p, b) != 0 and side * far > 0
+            and spectral.roots_beyond(w1p, b, side) == 1)
+
+
+def _below_level(w1p: list[Fraction], b: Fraction, side: int) -> Callable[[list[float]], bool]:
+    """The test that a first-block state (x1, y1, z1), with the second block
+    zero, lies beyond x1 = b on the given side with phi0 below
+    c = min phi0 on {x1 = b} = phi0(b, 0, b), decided over Q from its floats:
+    there alpha1 (phi0 - c) = y1^2/2 + (x1 - z1)^2/2 + W1(x1) - W1(b).  A
+    float pre-screen passes over the states that are above the level by far
+    more than the rounding of its terms."""
+    W = [Fraction(0)] + [c / (e + 1) for e, c in enumerate(w1p)]  # W1 - W1(0)
+    Wb = _horner(W, b)
+    Wf, W_abs, Wb_f = [float(c) for c in W], [abs(float(c)) for c in W], float(Wb)
+
+    def test(state: list[float]) -> bool:
+        x, y, z = state
+        if not (x > b if side > 0 else x < b):
+            return False
+        kinetic = (y * y + (x - z) * (x - z)) / 2
+        if kinetic + _horner(Wf, x) - Wb_f > 1e-9 * (kinetic + _horner(W_abs, abs(x)) + abs(Wb_f)):
+            return False
+        x, y, z = map(Fraction, state)
+        return y * y / 2 + (x - z) ** 2 / 2 + _horner(W, x) < Wb
+    return test
+
+
+def heteroclinic_gamma1(cfg: ChainConfig, endpoint_tol: float = 1e-7,
+                        well: Optional[Well] = None,
+                        leave: Optional[tuple[Fraction, float]] = None) -> Trajectory:
     """The connecting orbit from a well minimum (t -> -inf) to the saddle
     (t -> +inf), parametrized with t = 0 at the shooting seed near the
     saddle.  The seed is tried on the side of increasing x1 first; each side
     targets its nearest minimum.  Endpoint residuals are recorded in meta and
-    enforced.
+    enforced.  well is `well_data(cfg)`, built here when not given.
 
     Each leg is given up after BUDGET_SAFETY times the time the
     linearizations give.  Backward: ln(d/eps)/mu1 to leave the saddle from
@@ -457,12 +542,22 @@ def heteroclinic_gamma1(cfg: ChainConfig, endpoint_tol: float = 1e-7) -> Traject
     a seed already within endpoint_tol of the saddle never enters the ball,
     so its side is refused before either leg, and a config whose every side
     is refused so is unsupported.  A side that ran and failed is a
-    FlowError."""
-    saddle, stable, mu1, targets = _saddle_and_targets(cfg)
-    phi0_fn = chain_phi0(cfg).compiled()
+    FlowError.
+
+    With leave = (b, run), the backward leg toward a minimum that passes
+    `_only_root_beyond` ends at the first step end run time units before
+    the first step end t_c that passes `_below_level`, unless it enters the
+    ball first: by the certificate in the module docstring, the orbit lies
+    beyond b before t_c and tends to the minimum.  Its steps are the ones a
+    leg to the ball takes up to there; meta["left_at"] is then t_c, and
+    meta carries no endpoint_residual_minimum."""
+    if well is None:
+        well = well_data(cfg)
+    saddle, stable, mu1 = well.saddle, well.stable, well.mu1
+    phi0_fn = well.phi0.compiled()
 
     last_error = None
-    for sign, minimum, rate in targets:
+    for sign, minimum, rate in well.targets:
         d = float(np.linalg.norm(minimum - saddle))
         eps = 1e-6 * d
         seed = saddle + sign * eps * stable
@@ -471,8 +566,14 @@ def heteroclinic_gamma1(cfg: ChainConfig, endpoint_tol: float = 1e-7) -> Traject
                    BUDGET_SAFETY * math.log(eps / endpoint_tol) / mu1)
         if budgets[1] <= 0:
             continue
+        certificate = None
+        if leave is not None:
+            b, run = leave
+            side = 1 if minimum[well.ix1] > b else -1
+            if _only_root_beyond(well.w1p, b, side):
+                certificate = (_below_level(well.w1p, b, side), run)
         try:
-            traj = _shoot(cfg, seed, saddle, minimum, endpoint_tol, budgets)
+            traj = _shoot(cfg, well.w1p, seed, saddle, minimum, endpoint_tol, budgets, certificate)
         except FlowError as e:
             last_error = e
             continue
@@ -489,28 +590,25 @@ def heteroclinic_gamma1(cfg: ChainConfig, endpoint_tol: float = 1e-7) -> Traject
     raise last_error
 
 
-def _shoot(cfg, seed, saddle, minimum, tol, budgets) -> Trajectory:
+def _shoot(cfg, w1p, seed, saddle, minimum, tol, budgets, stop_after) -> Trajectory:
     """Both legs from the seed, each sampled at 400 times and given up
-    after its budget of time units, (backward, forward)."""
-    back = integrate(cfg, seed, (0.0, -budgets[0]), n_samples=400, stop_near=(minimum, tol))
-    if not back.meta["terminated_by_event"]:
+    after its budget of time units, (backward, forward); stop_after is the
+    backward leg's `integrate` argument."""
+    back = integrate(cfg, seed, (0.0, -budgets[0]), n_samples=400, stop_near=(minimum, tol),
+                     stop_after=stop_after, w1p=w1p)
+    left_at = back.meta["left_at"]
+    if not back.meta["terminated_by_event"] and left_at is None:
         raise FlowError("backward orbit did not reach the minimum within budget")
-    fwd = integrate(cfg, seed, (0.0, budgets[1]), n_samples=400, stop_near=(saddle, tol))
+    fwd = integrate(cfg, seed, (0.0, budgets[1]), n_samples=400, stop_near=(saddle, tol), w1p=w1p)
     if not fwd.meta["terminated_by_event"]:
         raise FlowError("forward orbit did not reach the saddle within budget")
     ts = np.concatenate([back.times[:-1], fwd.times])
     ys = np.concatenate([back.states[:-1], fwd.states])
-    meta = {"endpoint_residual_minimum": float(np.linalg.norm(ys[0] - minimum)),
-            "endpoint_residual_saddle": float(np.linalg.norm(ys[-1] - saddle)),
+    start = ({"endpoint_residual_minimum": float(np.linalg.norm(ys[0] - minimum))}
+             if left_at is None else {"left_at": left_at})
+    meta = {**start, "endpoint_residual_saddle": float(np.linalg.norm(ys[-1] - saddle)),
             "dense": back.meta["dense"].join(fwd.meta["dense"])}
     return Trajectory(ts, ys, meta)
-
-
-def gamma1_interpolant(traj: Trajectory) -> Callable[[np.ndarray], np.ndarray]:
-    """Continuous state as a function of the trajectory's own time variable,
-    clamped to its time range: a (dim,) array at one time, (dim, k) at k."""
-    dense = traj.meta["dense"]
-    return lambda t: dense(np.clip(t, traj.times[0], traj.times[-1]))
 
 
 def phi0_gains(cfg: ChainConfig, dense: Segments, edges: np.ndarray) -> np.ndarray:
@@ -591,7 +689,8 @@ def quintic_bound_probe(cfg: ChainConfig, points: Sequence[Sequence[float]]) -> 
         # and a stationary point
         x, y, z = (point[i] for i in index)
         if y == 0 and z == x and math.isfinite(x) and not np.any(np.delete(point, index)):
-            if sum(c * Fraction(x) ** e for e, c in enumerate(_w1_prime(cfg))) == 0:
+            w1p = _w1_prime(cfg, chain_phi0(cfg))
+            if sum(c * Fraction(x) ** e for e, c in enumerate(w1p)) == 0:
                 raise UnsupportedConfig(f"{point} is a stationary point of the drift, "
                                         "where phi0 stays constant")
         dense = integrate(cfg, point, (0.0, PROBE_T_MAX)).meta["dense"]

@@ -24,12 +24,29 @@ at the saddle -- not smooth unless the exponent is a nonnegative integer --
 while the branch vanishing at the saddle grows like e^{Re(lambda.a)|t|} at
 the minimum.  Either way no smooth solution exists; at equal temperatures
 the right-hand side vanishes identically and no obstruction arises.
+
+The diagnostics read gamma1 only from SAMPLE_LEAD before its first crossing
+of the bump on.  So `run_obstruction` ends the orbit's backward leg where
+phi0 proves that the orbit has left the bump for good, with b the bump edge
+nearer the minimum m (`flow.heteroclinic_gamma1`):
+
+1. Lyapunov: nu(phi0) = (z1 - x1)^2/alpha1 >= 0, so phi0 never rises
+   backward in time.
+2. No re-entry: phi0 >= c = W1(b)/alpha1 on {x1 = b}, so once a step end
+   t_c lies beyond b with phi0 < c, x1 stays beyond b before t_c, and every
+   crossing of the bump lies after t_c.
+3. LaSalle: where m is the only root of W1' beyond b and W1 grows without
+   bound there, the orbit tends to m as t -> -infinity.
+
+The leg ends SAMPLE_LEAD + 1 time units before t_c, on the steps the full
+orbit takes, so the report is the one the full orbit gives, byte for byte.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -76,6 +93,8 @@ class Bump:
 BUMP = Bump(0.3, 0.7)
 # how far from [0, 1], in s = tau/h, a root on a step may lie and still cross on it
 ROOT_SLACK = 1e-9
+# the u samples start this many time units before the support
+SAMPLE_LEAD = 2.0
 
 
 # --------------------------------------------------------- graded hierarchy
@@ -266,7 +285,7 @@ def transport_solve(cfg: ChainConfig, alpha: tuple[int, ...], c_alpha: complex,
     def integrand(s: np.ndarray) -> np.ndarray:
         return np.exp(a * s) * c_alpha * BUMP(dense(s.ravel())[dense.index[0]]).reshape(s.shape)
 
-    ts_samp = np.linspace(max(t0, s_lo - 2.0), min(t1, s_hi + 6.0), 120)
+    ts_samp = np.linspace(max(t0, s_lo - SAMPLE_LEAD), min(t1, s_hi + 6.0), 120)
     # panel edges are the crossings, so that no panel holds a kink, and the sample times
     # inside the support, so I is known exactly where needed: at edges, or outside the support
     edges = np.union1d(cross, ts_samp[(ts_samp > s_lo) & (ts_samp < s_hi)])
@@ -332,26 +351,29 @@ def run_obstruction(cfg: ChainConfig,
                                  (), 0.0, math.inf, math.inf, 0.0, "inconclusive",
                                  ("equal bath temperatures: the reduced right side is "
                                   "identically zero and no obstruction arises",))
-    _check_support(cfg)
+    well = flow.well_data(cfg)
+    edge = _check_support(well)
     if gamma1 is None:
-        gamma1 = flow.heteroclinic_gamma1(cfg)
+        gamma1 = flow.heteroclinic_gamma1(cfg, well=well,
+                                          leave=(Fraction(edge), SAMPLE_LEAD + 1.0))
     lambdas = eigencoords_w2(cfg)
     alpha0, c_alpha = select_alpha0(cfg, m, lambdas)
     return transport_solve(cfg, alpha0, c_alpha, gamma1, lambdas)
 
 
-def _check_support(cfg: ChainConfig):
-    """BUMP must lie strictly inside the x1-interval between the saddle and
-    the minimum the heteroclinic connects it to; otherwise it vanishes on
-    the orbit or touches an endpoint.  Decided from the stationary points,
-    before any integration."""
-    saddle, minimum = flow.heteroclinic_x1_range(cfg)
+def _check_support(well: flow.Well) -> float:
+    """The edge of BUMP nearer the minimum the heteroclinic connects the
+    saddle to.  BUMP must lie strictly inside the x1-interval between the
+    two; otherwise it vanishes on the orbit or touches an endpoint.  Decided
+    from the stationary points, before any integration."""
+    saddle, minimum = well.x1_range
     lo, hi = sorted((saddle, minimum))
     if not lo < BUMP.lo < BUMP.hi < hi:
         raise UnsupportedConfig(
             f"the bump support [{BUMP.lo:g}, {BUMP.hi:g}] in x1 does not lie inside "
             f"({saddle:.6g}, {minimum:.6g}), between the saddle and the minimum the "
             "heteroclinic connects it to")
+    return BUMP.hi if minimum > saddle else BUMP.lo
 
 
 # --------------------------------------------------- invariant subspace

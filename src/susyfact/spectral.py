@@ -82,6 +82,26 @@ def real_roots(a: Sequence[Fraction]) -> list[float]:
     return sorted(out)
 
 
+def roots_beyond(a: Sequence[Fraction], b: Fraction, side: int) -> int:
+    """The number of distinct real roots of p = sum_e a[e] x^e, the exact
+    coefficients by ascending power with a[-1] != 0, beyond b: in (b, inf)
+    for side = 1 and in (-inf, b) for side = -1, where p(b) != 0.  By
+    Sturm's theorem over Q it is the number of sign changes the sequence
+    p_0 = p, p_1 = p', p_(k+1) = -(p_(k-1) mod p_k) loses from the left end
+    of that interval to the right one."""
+    seq = [[Fraction(c) for c in a]]
+    seq.append([e * c for e, c in enumerate(seq[0])][1:])
+    while len(seq[-1]) > 1 and (rem := _divmod(seq[-2], seq[-1])[1]):
+        seq.append([-c for c in rem])
+
+    def changes(values) -> int:
+        signs = [v > 0 for v in values if v]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+    at_b = changes(sum(c * b ** e for e, c in enumerate(q)) for q in seq)
+    far = changes(q[-1] * side ** (len(q) - 1) for q in seq)
+    return side * (at_b - far)
+
+
 # ----------------------------------------------------------- linearization
 
 def eigenvector(lam: complex) -> np.ndarray:
@@ -93,25 +113,44 @@ def eigenvector(lam: complex) -> np.ndarray:
 def cubic_roots(w: float) -> list[complex]:
     """The three roots of lambda^3 - lambda^2 + (1+w) lambda - w, polished by
     up to three Newton steps each and sorted by (real part, imaginary part)."""
-    coeffs = [1.0, -1.0, 1.0 + w, -w]
-    roots = np.roots(coeffs)
+    return _cubic_roots_at([w])[0]
 
-    def f(z):
-        return ((z - 1.0) * z + (1.0 + w)) * z - w
 
-    def fp(z):
-        return (3.0 * z - 2.0) * z + (1.0 + w)
+def _cubic_roots_at(ws: Sequence[float]) -> list[list[complex]]:
+    """`cubic_roots` at each w.  The eigenvalues are those np.roots gives,
+    bit for bit: one np.linalg.eigvals call on the stack of its companion
+    matrices [[1, -(1+w), w], [1, 0, 0], [0, 1, 0]], each row kept real
+    where all its imaginary parts vanish; at w = 0, where np.roots drops
+    the zero root to a 2x2 matrix, np.roots itself."""
+    ws = [float(w) for w in ws]
+    companion = np.zeros((len(ws), 3, 3))
+    companion[:, 0] = [[1.0, -(1.0 + w), w] for w in ws]
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    eigenvalues = np.linalg.eigvals(companion) if ws else []
+    out = []
+    for w, roots in zip(ws, eigenvalues):
+        if w == 0:
+            roots = np.roots([1.0, -1.0, 1.0 + w, -w])
+        elif not roots.imag.any():
+            roots = roots.real
 
-    polished = []
-    for z in roots:
-        for _ in range(3):
-            d = fp(z)
-            if d == 0:
-                break
-            z = z - f(z) / d
-        polished.append(complex(z))
-    polished.sort(key=lambda z: (z.real, z.imag))
-    return polished
+        def f(z):
+            return ((z - 1.0) * z + (1.0 + w)) * z - w
+
+        def fp(z):
+            return (3.0 * z - 2.0) * z + (1.0 + w)
+
+        polished = []
+        for z in roots:
+            for _ in range(3):
+                d = fp(z)
+                if d == 0:
+                    break
+                z = z - f(z) / d
+            polished.append(complex(z))
+        polished.sort(key=lambda z: (z.real, z.imag))
+        out.append(polished)
+    return out
 
 
 ZERO_BAND = 1e-10
@@ -149,10 +188,6 @@ def F_critical_point() -> tuple[float, float]:
 
 def w_grid_report(ws: Sequence[float]) -> list[dict]:
     """Root/classification rows over a grid of Hessian eigenvalues."""
-    rows = []
-    for w in ws:
-        roots = cubic_roots(float(w))
-        rows.append({"w": float(w),
-                     "roots": [[z.real, z.imag] for z in roots],
-                     "class": classify_roots(float(w))})
-    return rows
+    return [{"w": float(w), "roots": [[z.real, z.imag] for z in roots],
+             "class": classify_roots(float(w))}
+            for w, roots in zip(ws, _cubic_roots_at(ws))]

@@ -13,10 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susyfact.flow import (ORDER, PROBE_SAMPLES, PROBE_T_MAX, STEP_EPS, FlowError, _first_entry,
-                           _horner, _saddle_and_targets, _screened_out,
-                           _taylor_coefficients, gamma1_interpolant, heteroclinic_gamma1,
-                           heteroclinic_x1_range, integrate, lyapunov_report, nu_apply,
-                           nu_components, nu_iterates, phi0_gains, quintic_bound_probe)
+                           _horner, _screened_out, _taylor_coefficients, heteroclinic_gamma1,
+                           integrate, lyapunov_report, nu_apply, nu_components, nu_iterates,
+                           phi0_gains, quintic_bound_probe, well_data)
 from susyfact.models import ChainConfig, UnsupportedConfig, chain_phi0, default_chain_config
 from susyfact.polyalg import Poly, parse_poly
 
@@ -128,12 +127,11 @@ def _double_well_chain(W1: str) -> ChainConfig:
 def test_saddle_and_targets_pinned(W1, targets, x1_range):
     # the stationary points' floats, bit for bit: the saddle at the origin,
     # mu1, and each side's nearest minimum with its slowest rate
-    cfg = _double_well_chain(W1)
-    saddle, _, mu1, got = _saddle_and_targets(cfg)
-    assert repr(saddle.tolist()) == "[0.0, 0.0, 0.0, 0.0, 0.0, 0.0]"
-    assert repr(mu1) == "0.7548776662466928"
-    assert repr([(sign, p.tolist(), rate) for sign, p, rate in got]) == targets
-    assert heteroclinic_x1_range(cfg) == x1_range
+    well = well_data(_double_well_chain(W1))
+    assert repr(well.saddle.tolist()) == "[0.0, 0.0, 0.0, 0.0, 0.0, 0.0]"
+    assert repr(well.mu1) == "0.7548776662466928"
+    assert repr([(sign, p.tolist(), rate) for sign, p, rate in well.targets]) == targets
+    assert well.x1_range == x1_range
 
 
 def test_a_double_root_of_w1_prime_is_no_saddle():
@@ -142,7 +140,7 @@ def test_a_double_root_of_w1_prime_is_no_saddle():
     for W1 in ("1/4*x1^4 - 2/3*x1^3 + 1/2*x1^2", "1/6*x1^6 - 1/2*x1^4 + 1/2*x1^2"):
         cfg = _double_well_chain(W1)
         with pytest.raises(UnsupportedConfig, match="W1 has 0 saddles"):
-            _saddle_and_targets(cfg)
+            well_data(cfg)
 
 
 @settings(max_examples=25, deadline=None, phases=NO_SHRINK_PHASES)
@@ -159,9 +157,9 @@ def test_saddle_and_targets_do_not_depend_on_the_term_order(a, s, u, d):
     got = []
     for order in (terms, terms[::-1]):
         W1 = " ".join(f"{'-' if c < 0 else '+'} {abs(c)}{m}" for c, m in order if c)
-        saddle, vec, mu1, targets = _saddle_and_targets(_double_well_chain(W1))
-        got.append(repr((saddle.tolist(), vec.tolist(), mu1,
-                         [(sign, p.tolist(), rate) for sign, p, rate in targets])))
+        well = well_data(_double_well_chain(W1))
+        got.append(repr((well.saddle.tolist(), well.stable.tolist(), well.mu1,
+                         [(sign, p.tolist(), rate) for sign, p, rate in well.targets])))
     assert got[0] == got[1]
 
 
@@ -338,7 +336,11 @@ def test_lyapunov_report_refuses_a_zero_gain(cfg):
 
 
 def test_gamma1_interpolant(cfg, gamma1):
-    f = gamma1_interpolant(gamma1)
+    # the dense output, clamped to the orbit's time range
+    dense = gamma1.meta["dense"]
+
+    def f(t):
+        return dense(np.clip(t, gamma1.times[0], gamma1.times[-1]))
     t_mid = 0.5 * (gamma1.times[0] + gamma1.times[-1])
     s = f(t_mid)
     assert s.shape == (6,)

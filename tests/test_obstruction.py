@@ -9,18 +9,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scipy.integrate import solve_ivp
 
+from susyfact import flow
 from susyfact import obstruction as ob
 from susyfact.cli import canonical_json
-from susyfact.flow import Segments, Trajectory, gamma1_interpolant, heteroclinic_gamma1, nu_apply
+from susyfact.flow import Segments, Trajectory, heteroclinic_gamma1, nu_apply
 from susyfact.models import (ChainConfig, chain_phi0, chain_var, default_chain_config,
                              hamiltonian_p)
 from susyfact.polyalg import Poly, parse_poly
 from susyfact.spectral import eigenvector
 
-from conftest import as_sympy, linearization_N
+from conftest import NO_SHRINK_PHASES, as_sympy, linearization_N
 
 
 @pytest.fixture(scope="module")
@@ -343,7 +346,10 @@ def _dop853_transport(cfg, gamma1, rep):
     alpha, c_alpha = ob.select_alpha0(cfg, ob._deltaw_degree(cfg), ob.eigencoords_w2(cfg))
     assert alpha == rep.alpha0
     a, bump = rep.lambda_dot_alpha, ob.BUMP
-    state = gamma1_interpolant(gamma1)
+    dense = gamma1.meta["dense"]
+
+    def state(t):
+        return dense(np.clip(t, gamma1.times[0], gamma1.times[-1]))
     ix1 = cfg.space.index("x1")
     grid = np.linspace(gamma1.times[0], gamma1.times[-1], 4000)
     x1 = state(grid)[ix1]
@@ -485,6 +491,109 @@ def test_obstruct_reads_only_the_steps_near_the_support(name):
     assert len(cut.meta["dense"].t0) < len(dense.t0) / 2
     assert (canonical_json(ob.run_obstruction(cfg, gamma1=cut).to_json_dict())
             == canonical_json(ob.run_obstruction(cfg, gamma1=gamma1).to_json_dict()))
+
+
+# the configs on which obstruct's own, certified orbit is checked against the
+# full one: the oracle configs, the crossing wells and the alpha2 sweep
+CERTIFIED = {**{f"oracle-{k}": v for k, v in ORACLE_CONFIGS.items()},
+             **{f"crossing-{k}": {"W1": W1} for k, (W1, _) in CROSSING_WELLS.items()},
+             **{f"alpha2-{a}": {"alpha2": a} for a in ("1", "3/2", "2", "3")}}
+
+
+def _obstruct_and_its_orbits(monkeypatch, cfg):
+    """run_obstruction(cfg)'s report and the orbits it computed."""
+    orbits = []
+
+    def spy(*args, **kwargs):
+        orbits.append(heteroclinic_gamma1(*args, **kwargs))
+        return orbits[-1]
+    monkeypatch.setattr(ob.flow, "heteroclinic_gamma1", spy)
+    return ob.run_obstruction(cfg), orbits
+
+
+@pytest.mark.parametrize("name", list(CERTIFIED))
+def test_obstruct_ends_its_backward_leg_where_phi0_certifies_it(monkeypatch, name):
+    # obstruct's own orbit ends a few time units before t_c, the first step
+    # end beyond the bump edge b = 0.7 with phi0 below its minimum on
+    # {x1 = b}; its report equals the one from the full orbit byte for byte,
+    # and on the full orbit x1 stays beyond b before t_c, so every crossing
+    # lies after t_c
+    cfg, full = _orbit(**CERTIFIED[name])
+    rep, orbits = _obstruct_and_its_orbits(monkeypatch, cfg)
+    assert (canonical_json(rep.to_json_dict())
+            == canonical_json(ob.run_obstruction(cfg, gamma1=full).to_json_dict()))
+    if cfg.alpha1 == cfg.alpha2:
+        assert not orbits
+        return
+    (cut,) = orbits
+    t_c = cut.meta["left_at"]
+    assert "endpoint_residual_minimum" not in cut.meta
+    assert cut.times[0] <= t_c - 3.0 and len(cut.meta["dense"].t0) < len(full.meta["dense"].t0)
+    dense = full.meta["dense"]
+    assert ob._crossings(dense, full.times[0], full.times[-1], KINKS + (ob.BUMP.hi,))[0] > t_c
+    ts, x1 = _x1_on_grid(full, 10 ** 5)
+    assert np.all(x1[ts <= t_c] > ob.BUMP.hi)
+
+
+def test_a_well_with_another_root_beyond_the_edge_keeps_the_full_leg(monkeypatch):
+    # W1' = x1 (x1 - 1)(x1 - 2)^2: the double root at 2, where W1'' = 0, is
+    # neither a saddle nor a minimum, but it lies beyond b = 0.7 on the
+    # minimum's side, so the backward leg runs to the ball around x1 = 1
+    cfg, full = _orbit(W1="1/5*x1^5 - 5/4*x1^4 + 8/3*x1^3 - 2*x1^2")
+    rep, (orbit,) = _obstruct_and_its_orbits(monkeypatch, cfg)
+    assert orbit.meta["endpoint_residual_minimum"] < 1e-6 and "left_at" not in orbit.meta
+    assert np.array_equal(orbit.meta["dense"].coef, full.meta["dense"].coef)
+    assert (canonical_json(rep.to_json_dict())
+            == canonical_json(ob.run_obstruction(cfg, gamma1=full).to_json_dict()))
+
+
+def _exact_value(p: Poly, point) -> Fraction:
+    return sum(c * math.prod(Fraction(v) ** e for v, e in zip(point, exps))
+               for (exps, _), c in p.terms.items())
+
+
+@settings(max_examples=40, deadline=None, phases=NO_SHRINK_PHASES)
+@given(st.sampled_from(sorted(CROSSING_WELLS)),
+       st.lists(st.fractions(-3, 3, max_denominator=1000), min_size=5, max_size=5),
+       st.floats(-1.0, 3.0), st.floats(-2.0, 2.0), st.floats(-1.0, 3.0))
+def test_phi0_is_least_on_the_bump_edge_where_y1_is_0_and_z1_is_b(name, rest, x, y, z):
+    # phi0 >= c = phi0(b, 0, b, 0, 0, 0) on {x1 = b}, exactly; and the
+    # level test decides "x1 > b and phi0 < c" as the exact phi0 does, also
+    # at a state whose phi0 is c up to rounding
+    cfg = ChainConfig.from_json_dict(dict(default_chain_config().to_json_dict(),
+                                          W1=CROSSING_WELLS[name][0]))
+    phi0, b = chain_phi0(cfg), Fraction(ob.BUMP.hi)
+    c = _exact_value(phi0, (b, 0, b, 0, 0, 0))
+    assert _exact_value(phi0, [b] + rest) >= c
+    test = flow._below_level(flow.well_data(cfg).w1p, b, 1)
+    states = [[x, y, z]]
+    r = 2 * float(_exact_value(cfg.W1, (b,) + (0,) * 5) - _exact_value(cfg.W1, (x,) + (0,) * 5))
+    if r >= y * y:
+        states.append([x, y, x - math.sqrt(r - y * y)])
+    for state in states:
+        assert test(state) == (state[0] > b and _exact_value(phi0, state + [0, 0, 0]) < c)
+    # on {x1 = b} itself the test never holds, however low phi0 is
+    assert not test([float(b), 0.0, float(b)])
+
+
+def test_obstruct_builds_the_well_data_once(monkeypatch, cfg):
+    # W1''s coefficients, phi0 and the stationary points are built once per
+    # run_obstruction call, with or without a given orbit, and once per
+    # heteroclinic_gamma1 call
+    calls = {"chain_phi0": 0, "_saddle_and_targets": 0, "_w1_prime": 0}
+    for name in calls:
+        fn = getattr(flow, name)
+
+        def counted(*args, fn=fn, name=name, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(flow, name, counted)
+    gamma1 = heteroclinic_gamma1(cfg)
+    for run in (lambda: ob.run_obstruction(cfg), lambda: ob.run_obstruction(cfg, gamma1=gamma1),
+                lambda: heteroclinic_gamma1(cfg)):
+        calls.update(dict.fromkeys(calls, 0))
+        run()
+        assert calls == dict.fromkeys(calls, 1)
 
 
 @pytest.mark.parametrize("name", list(ORACLE_CONFIGS))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susyfact.spectral import (F, F_critical_point, G, classify_roots, cubic_roots, real_roots,
-                               w_grid_report)
+                               roots_beyond, w_grid_report)
 
 from conftest import linearization_N
 
@@ -151,3 +152,37 @@ def test_w_grid_report():
                else "all_re_positive" if w > 0 else "one_negative")
         assert r["class"] == cls
         assert abs(sum(a for a, _ in r["roots"]) - 1.0) < 1e-10
+
+
+def _cubic_roots_by_np_roots(w: float) -> list[complex]:
+    """The reference: np.roots of each cubic on its own, then the same
+    Newton polish and sort as `cubic_roots`."""
+    polished = []
+    for z in np.roots([1.0, -1.0, 1.0 + w, -w]):
+        for _ in range(3):
+            d = (3.0 * z - 2.0) * z + (1.0 + w)
+            if d == 0:
+                break
+            z = z - (((z - 1.0) * z + (1.0 + w)) * z - w) / d
+        polished.append(complex(z))
+    return sorted(polished, key=lambda z: (z.real, z.imag))
+
+
+def test_w_grid_report_matches_np_roots_per_w_bit_for_bit():
+    # one stacked eigenvalue solve gives the roots np.roots gives one w at
+    # a time, also at w = 0, where np.roots drops the zero root
+    ws = list(np.linspace(-10.0, 10.0, 200)) + [0.0, -0.0, 1e-300, -1e-12, 3.5e8, -7e5]
+    ws += list(np.random.default_rng(11).normal(0.0, 5.0, 300))
+    expect = [[[z.real.hex(), z.imag.hex()] for z in _cubic_roots_by_np_roots(float(w))]
+              for w in ws]
+    assert [[[x.hex(), y.hex()] for x, y in r["roots"]] for r in w_grid_report(ws)] == expect
+    assert [[[z.real.hex(), z.imag.hex()] for z in cubic_roots(float(w))] for w in ws] == expect
+
+
+def test_roots_beyond_counts_distinct_roots_on_each_side():
+    # p = (x - 1)(x - 2)^2(x + 3)
+    p = [-12, 20, -7, -2, 1]
+    for b, side, count in [(0, 1, 2), (0, -1, 1), (Fraction(3, 2), 1, 1), (Fraction(3, 2), -1, 2),
+                           (5, 1, 0), (-5, -1, 0), (-5, 1, 3), (Fraction(5, 2), -1, 3)]:
+        assert roots_beyond(p, Fraction(b), side) == count, (b, side)
+

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from susyfact.cli import (EXIT_MATH, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, W_GRID_MAX, _parse_w_grid,
@@ -585,3 +586,36 @@ def test_obstruct_unequal_matches_golden(capsys):
     for (t, re, im), (t0, re0, im0) in zip(got_ob["u_samples"], want_ob["u_samples"]):
         assert t == t0
         assert abs(complex(re, im) - complex(re0, im0)) <= 1e-12 * abs(complex(re0, im0)), t
+
+
+def test_flow_unequal_matches_golden(tmp_path, capsys):
+    # the keys, booleans, t_range and the CSV's header and row count
+    # exactly, the other floats to 1e-12 relative; a CSV entry to 1e-12 of
+    # its column's largest magnitude, since a coordinate near its own zero
+    # crossing can move by more than that relative to itself
+    out = tmp_path / "flow.json"
+    assert main(["flow", "--config", "chain_unequal", "--seed", "7", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    got, want = json.loads(out.read_text()), json.loads((GOLDEN / "flow_chain_unequal.json").read_text())
+
+    def compare(g, w, key):
+        assert type(g) is type(w), key
+        if isinstance(w, dict):
+            assert set(g) == set(w), key
+            for k in w:
+                compare(g[k], w[k], k)
+        elif isinstance(w, float) and key != "t_range":
+            assert abs(g - w) <= 1e-12 * abs(w), key
+        elif isinstance(w, list) and key != "t_range":
+            assert len(g) == len(w), key
+            for a, b in zip(g, w):
+                compare(a, b, key)
+        else:
+            assert g == w, key
+    compare(got, want, None)
+    rows = [line.split(",") for line in out.with_suffix(".csv").read_text().splitlines()]
+    want_rows = [line.split(",") for line in
+                 (GOLDEN / "flow_chain_unequal.csv").read_text().splitlines()]
+    assert rows[0] == want_rows[0] and len(rows) == len(want_rows)
+    g, w = np.array(rows[1:], dtype=float), np.array(want_rows[1:], dtype=float)
+    assert np.all(np.abs(g - w) <= 1e-12 * np.max(np.abs(w), axis=0))

@@ -9,7 +9,12 @@ is a Lyapunov function: nu(phi0) = gamma sum_j (z_j - x_j)^2 / alpha_j >= 0,
 and iterated derivatives nu^k(phi0) control the degenerate directions --
 vanishing through order 2 on {z = x, y != 0} with nu^3(phi0) > 0 there, and
 through order 4 on {z = x, y = 0, dW0 != 0} with nu^5(phi0) > 0, which gives
-the quintic lower bound phi0(exp(t nu) x) - phi0(x) >= t^5 / C.
+the quintic lower bound phi0(exp(t nu) x) - phi0(x) >= t^5 / C.  On the
+first block, with gamma = 1 and the second block zero, the cascade has a
+closed form in u = z1 - x1: nu(phi0) = u^2/alpha1, u' = u - y1 and u'' =
+W1'(x1) - y1, so the increase is of order 1 where u != 0, 3 where u = 0 and
+y1 != 0, and 5 where u = y1 = 0 off the stationary points.
+`quintic_bound_probe` takes the order and its coefficient from this, exactly.
 
 The heteroclinic orbit gamma1 from the well minimum (t -> -infinity) to the
 saddle (t -> +infinity) is computed by shooting backward from the saddle
@@ -47,7 +52,8 @@ of the search and passes over each step that stays outside the ball on
 every piece, by SCREEN_MARGIN; the others are searched in order, and the
 first entry drops the steps after it.  The orbit is thus bit-identical to a
 search of every step.  Each leg's time budget follows from the
-linearizations at the saddle and at the minimum.  On the bundled chain the
+linearizations at the saddle and at the minimum, and a leg that takes
+MAX_STEPS steps is given up.  On the bundled chain the
 event times are within 1.1e-9 (backward) and 3e-14 (forward) of a 40-digit
 Taylor integration from the same seed; tests/test_flow.py holds the orbit
 to 1e-10 of a tight DOP853 solve on four double wells.  `lyapunov_report`
@@ -140,6 +146,9 @@ class Trajectory:
 # 14 (2005), section 3.2).
 ORDER = 24
 STEP_EPS = 1e-16
+# the most steps one leg of `integrate` takes: 2.2 times the longest tested
+# leg, 11161 steps backward on the well 8 x1^4 - 16 x1^2 + 8
+MAX_STEPS = 25_000
 
 
 @dataclass(frozen=True)
@@ -321,7 +330,7 @@ def integrate(cfg: ChainConfig, state0: Sequence[float], t_span: tuple[float, fl
               n_samples: int = 200,
               stop_near: Optional[tuple[np.ndarray, float]] = None,
               stop_after: Optional[tuple[Callable[[list[float]], bool], float]] = None,
-              w1p: Optional[Sequence[Fraction]] = None) -> Trajectory:
+              *, w1p: Sequence[Fraction]) -> Trajectory:
     """Taylor-series integration of nu from a finite state whose second
     block is zero; any other start is refused before any step.  nu keeps
     that block zero, so only the first block is integrated, and the
@@ -335,10 +344,10 @@ def integrate(cfg: ChainConfig, state0: Sequence[float], t_span: tuple[float, fl
     stop_after = (test, run) it also ends at the first step end at least run
     time units past the first step end t_c whose first block (x1, y1, z1)
     passes test, unless the ball is entered first; meta["left_at"] is then
-    t_c, and None otherwise.  w1p is `_w1_prime`'s list, built here when
-    not given."""
+    t_c, and None otherwise.  w1p is `_w1_prime`'s list.  A leg that has
+    taken MAX_STEPS steps without ending is a FlowError."""
     space = cfg.space
-    p = [float(c) for c in (_w1_prime(cfg, chain_phi0(cfg)) if w1p is None else w1p)]
+    p = [float(c) for c in w1p]
     index = tuple(space.index(chain_var(space, c, 1)) for c in "xyz")
     state0 = np.asarray(state0, dtype=float)
     if not np.all(np.isfinite(state0)):
@@ -358,6 +367,10 @@ def integrate(cfg: ChainConfig, state0: Sequence[float], t_span: tuple[float, fl
         first = done = len(starts)
         failure = None
         while done - first < SCREEN_CHUNK and t != t1 and not left:
+            if done == MAX_STEPS:
+                failure = FlowError(f"integration failed: the leg took {MAX_STEPS} steps "
+                                    f"and is at t = {t}")
+                break
             try:
                 series = _taylor_coefficients(*state, p)
             except FlowError as e:
@@ -650,18 +663,38 @@ def lyapunov_report(cfg: ChainConfig, traj: Trajectory) -> dict:
 
 # -------------------------------------------------------------------- cascade
 
+# a point's class by the order of Delta(t) = phi0(exp(t nu) x) - phi0(x) at t = 0
+CASES = {1: "generic", 3: "y_nonzero_degenerate", 5: "fully_degenerate"}
+
+
 def point_case(cfg: ChainConfig, point: Sequence[float]) -> str:
     """generic (z != x), y_nonzero_degenerate (z = x, y != 0) or
-    fully_degenerate (z = x, y = 0), each to 1e-12."""
+    fully_degenerate (z = x, y = 0), over all blocks, exactly."""
     space = cfg.space
     pt = {name: float(v) for name, v in zip(space.names, point)}
     blocks = [(j, i) for j in (1, 2) for i in range(cfg.n)]
-    if max(abs(pt[chain_var(space, "z", j, i)] - pt[chain_var(space, "x", j, i)])
-           for j, i in blocks) > 1e-12:
-        return "generic"
-    if max(abs(pt[chain_var(space, "y", j, i)]) for j, i in blocks) > 1e-12:
-        return "y_nonzero_degenerate"
-    return "fully_degenerate"
+    if any(pt[chain_var(space, "z", j, i)] != pt[chain_var(space, "x", j, i)] for j, i in blocks):
+        return CASES[1]
+    if any(pt[chain_var(space, "y", j, i)] != 0 for j, i in blocks):
+        return CASES[3]
+    return CASES[5]
+
+
+def _cascade(w1p: list[Fraction], alpha1: Fraction, x: float, y: float,
+             z: float) -> tuple[int, Fraction]:
+    """The order k and the coefficient c of Delta(t) = c t^k + O(t^(k+1))
+    from the first-block state (x1, y1, z1), the second block zero and
+    gamma = 1, decided over Q from its floats.  With u = z1 - x1, u' =
+    u - y1, u'' = W1'(x1) - y1 (coefficients w1p) and Delta' = nu(phi0) =
+    u^2/alpha1: k = 1 and c = u^2/alpha1 where u != 0; k = 3 and c =
+    y1^2/(3 alpha1) where u = 0 and y1 != 0; else k = 5 and c =
+    W1'(x1)^2/(20 alpha1), which is 0 only at a stationary point."""
+    x, y, z = map(Fraction, (x, y, z))
+    if z != x:
+        return 1, (z - x) ** 2 / alpha1
+    if y != 0:
+        return 3, y * y / (3 * alpha1)
+    return 5, _horner(w1p, x) ** 2 / (20 * alpha1)
 
 
 # ------------------------------------------------------------- quintic probe
@@ -671,36 +704,41 @@ PROBE_SAMPLES = 60
 
 
 def quintic_bound_probe(cfg: ChainConfig, points: Sequence[Sequence[float]]) -> list[dict]:
-    """For each start point, integrate the flow and the Lyapunov increment
-    Delta(t) = phi0(exp(t nu) x) - phi0(x), assert Delta > 0, and fit the
-    leading power law on the first samples: slope near 1 at generic points,
-    3 on {z=x, y!=0}, 5 on {z=x, y=0, dW0!=0}.
+    """For each start point x, the power law of the Lyapunov increment
+    Delta(t) = phi0(exp(t nu) x) - phi0(x) = c t^k + O(t^(k+1)), decided
+    exactly by `_cascade`: k = 1 at generic points, 3 on {z = x, y != 0}
+    and 5 on {z = x, y = 0, dW0 != 0}, with c k! = nu^k(phi0)(x).  `case`
+    names k; `slope` is k as a float, the limit of Delta's log-log slope as
+    t -> 0; `leading_coefficient` is c as a float.
 
-    Delta sums the `phi0_gains` up to each sample time.  Their series'
-    leading coefficients nu^k(phi0)(x)/k! come without cancellation, so Delta
-    is resolved down to ~1e-22 at t = 1e-4 on {z = x, y = 0}.  Any Delta <= 0
-    is a numerical failure.  A stationary point (x, 0, x, 0, ...) with
-    W1'(x) = 0 exactly, where Delta stays 0, is refused as unsupported."""
+    Delta is integrated at PROBE_SAMPLES times up to PROBE_T_MAX, as the sum
+    of the `phi0_gains` up to each, for C_witness = max t^5/Delta and
+    min_delta.  Their series' leading coefficients nu^k(phi0)(x)/k! come
+    without cancellation, so Delta is resolved down to ~1e-22 at t = 1e-4
+    on {z = x, y = 0}.  Any Delta <= 0 is a numerical failure.  A
+    stationary point (x, 0, x, 0, ...) with W1'(x) = 0 exactly, where Delta
+    stays 0, is refused as unsupported."""
+    w1p = _w1_prime(cfg, chain_phi0(cfg))
     ts = np.geomspace(1e-4, PROBE_T_MAX, PROBE_SAMPLES)
     index = [cfg.space.index(chain_var(cfg.space, c, 1)) for c in "xyz"]
     out = []
     for point in points:
-        # refused before any step: n != 1, gamma != 1, a nonzero second block
-        # and a stationary point
-        x, y, z = (point[i] for i in index)
-        if y == 0 and z == x and math.isfinite(x) and not np.any(np.delete(point, index)):
-            w1p = _w1_prime(cfg, chain_phi0(cfg))
-            if sum(c * Fraction(x) ** e for e, c in enumerate(w1p)) == 0:
+        # refused before any step: n != 1 and gamma != 1 by `_w1_prime`
+        # above, a non-finite start and a nonzero second block by
+        # `integrate`, and a stationary point here
+        x, y, z = (float(point[i]) for i in index)
+        if all(map(math.isfinite, (x, y, z))):
+            order, c = _cascade(w1p, cfg.alpha1, x, y, z)
+            if c == 0 and not np.any(np.delete(point, index)):
                 raise UnsupportedConfig(f"{point} is a stationary point of the drift, "
                                         "where phi0 stays constant")
-        dense = integrate(cfg, point, (0.0, PROBE_T_MAX)).meta["dense"]
+        dense = integrate(cfg, point, (0.0, PROBE_T_MAX), w1p=w1p).meta["dense"]
         deltas = np.cumsum(phi0_gains(cfg, dense, np.concatenate([[0.0], ts])))
         if np.any(deltas <= 0):
             raise FlowError(f"Lyapunov increment non-positive at t={ts[deltas <= 0][0]} "
                             f"from {point}")
-        fit = ts <= 4.5 * ts[0]
-        slope = np.polyfit(np.log(ts[fit]), np.log(deltas[fit]), 1)[0]
-        out.append({"point": [float(v) for v in point], "case": point_case(cfg, point),
-                    "slope": float(slope), "C_witness": float(np.max(ts ** 5 / deltas)),
+        out.append({"point": [float(v) for v in point], "case": CASES[order],
+                    "slope": float(order), "leading_coefficient": float(c),
+                    "C_witness": float(np.max(ts ** 5 / deltas)),
                     "min_delta": float(np.min(deltas))})
     return out

@@ -48,19 +48,31 @@ def _divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[
     return q, a
 
 
+def _sturm_chain(a: Sequence[Fraction]) -> list[list[Fraction]]:
+    """The Sturm sequence of p = sum_e a[e] x^e, the exact coefficients by
+    ascending power with a[-1] != 0: p_0 = p, p_1 = p', p_(k+1) =
+    -(p_(k-1) mod p_k), up to a constant p_k or one that divides p_(k-1).
+    Each p_k is the k-th remainder of Euclid's algorithm on (p, p') up to
+    sign, so the last is gcd(p, p') up to a constant factor."""
+    seq = [[Fraction(c) for c in a]]
+    seq.append([e * c for e, c in enumerate(seq[0])][1:])
+    while len(seq[-1]) > 1 and (rem := _divmod(seq[-2], seq[-1])[1]):
+        seq.append([-c for c in rem])
+    return seq
+
+
 def real_roots(a: Sequence[Fraction]) -> list[float]:
     """Real roots of p = sum_e a[e] x^e, the exact coefficients by ascending
-    power with a[-1] != 0, sorted, each multiple root once.  f = p / gcd(p,
-    p'), with the gcd from Euclid's algorithm over Q and f = p where the gcd
-    is constant, has only simple roots; the real eigenvalues of its
-    companion matrix are each polished by up to 5 Newton steps on f and kept
-    where |f| < ROOT_TOL max(1, |x|).  f and f' are summed by ascending
-    power, so the roots depend on p alone."""
-    a = [Fraction(c) for c in a]
-    g, b = a, [e * c for e, c in enumerate(a)][1:]
-    while b:
-        g, b = b, _divmod(g, b)[1]
-    q = _divmod(a, g)[0] if len(g) > 1 else a
+    power with a[-1] != 0, sorted, each multiple root once.  f = p / g, with
+    g = gcd(p, p') the last entry of the Sturm chain and f = p where g is
+    constant, has only simple roots; the real eigenvalues of its companion
+    matrix are each polished by up to 5 Newton steps on f and kept where
+    |f| < ROOT_TOL max(1, |x|).  g's sign flips f's, which changes neither
+    the companion matrix nor a Newton step.  f and f' are summed by
+    ascending power, so the roots depend on p alone."""
+    seq = _sturm_chain(a)
+    p, g = seq[0], seq[-1]
+    q = _divmod(p, g)[0] if len(g) > 1 else p
 
     def value(data: list[tuple[float, int]], x: float) -> float:
         return sum(c * x ** e for c, e in data)
@@ -86,13 +98,9 @@ def roots_beyond(a: Sequence[Fraction], b: Fraction, side: int) -> int:
     """The number of distinct real roots of p = sum_e a[e] x^e, the exact
     coefficients by ascending power with a[-1] != 0, beyond b: in (b, inf)
     for side = 1 and in (-inf, b) for side = -1, where p(b) != 0.  By
-    Sturm's theorem over Q it is the number of sign changes the sequence
-    p_0 = p, p_1 = p', p_(k+1) = -(p_(k-1) mod p_k) loses from the left end
-    of that interval to the right one."""
-    seq = [[Fraction(c) for c in a]]
-    seq.append([e * c for e, c in enumerate(seq[0])][1:])
-    while len(seq[-1]) > 1 and (rem := _divmod(seq[-2], seq[-1])[1]):
-        seq.append([-c for c in rem])
+    Sturm's theorem over Q it is the number of sign changes `_sturm_chain`
+    loses from the left end of that interval to the right one."""
+    seq = _sturm_chain(a)
 
     def changes(values) -> int:
         signs = [v > 0 for v in values if v]

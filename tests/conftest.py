@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -104,19 +105,25 @@ def linearization_N(w_block_hessian) -> np.ndarray:
                      [-eye, zero, eye]])
 
 
+def exact_value(p: Poly, point: Sequence) -> Fraction:
+    """p at h = 1 and at the exact value of each coordinate, summed over Q."""
+    return sum(c * math.prod(Fraction(v) ** e for v, e in zip(point, exps))
+               for (exps, _), c in p.terms.items())
+
+
 @dataclass(frozen=True)
 class CascadeReport:
     point: tuple[float, ...]
-    values: tuple[float, ...]  # nu^k(phi0) at the point, k = 1..5
+    values: tuple[Fraction, ...]  # nu^k(phi0) at the point, k = 1..5, exactly
     case: str  # generic | y_nonzero_degenerate | fully_degenerate
 
 
 def cascade_check(cfg: ChainConfig, point: Sequence[float]) -> CascadeReport:
-    """The derivative cascade nu^k(phi0), k = 1..5, built exactly and
-    evaluated at a point, and the point's class: the oracle of the quintic
-    probe's Delta at its first sample."""
+    """The derivative cascade nu^k(phi0), k = 1..5, built and evaluated at
+    the exact value of each float of a point, and the point's class: the
+    oracle of the quintic probe's order and leading coefficient."""
     if cfg.gamma != 1:
         raise UnsupportedConfig("the cascade identities are implemented for gamma = 1")
-    pt = {name: float(v) for name, v in zip(cfg.space.names, point)}
-    values = tuple(p.evaluate(pt) for p in nu_iterates(cfg, chain_phi0(cfg), 5))
-    return CascadeReport(tuple(float(v) for v in point), values, point_case(cfg, point))
+    point = tuple(float(v) for v in point)
+    values = tuple(exact_value(p, point) for p in nu_iterates(cfg, chain_phi0(cfg), 5))
+    return CascadeReport(point, values, point_case(cfg, point))

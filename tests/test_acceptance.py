@@ -218,7 +218,7 @@ def test_criterion_7_flow(capsys):
         want = {"generic": 1.0, "y_nonzero_degenerate": 3.0,
                 "fully_degenerate": 5.0}
         for r in rows:
-            assert abs(r["slope"] - want[r["case"]]) < 0.3
+            assert r["slope"] == want[r["case"]]
 
 
 def test_criterion_8_obstruction(capsys):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from susyfact.cli import (EXIT_MATH, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, W_GRID_MAX, _parse_w_grid,
                           canonical_json, main)
+from susyfact.flow import MAX_STEPS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -352,16 +354,45 @@ def test_unsupported_regimes_exit_2(tmp_path, capsys, monkeypatch, changes, mess
         assert message in capsys.readouterr().err, command
 
 
+# `susyfact flow --config` as a fresh process, which imports this checkout
+_FLOW = [sys.executable, "-m", "susyfact", "flow", "--config"]
+_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")])))
+
+
 def test_a_double_root_of_w1_prime_exits_2_at_once(tmp_path):
     # W1' = x1 (x1^2 - 1)^2: one minimum, at 0, and W1'' = 0 at the double
     # roots +-1, so there is no saddle; each double root is found once
     path = _unequal_with(tmp_path, W1="1/6*x1^6 - 1/2*x1^4 + 1/2*x1^2")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "susyfact", "flow", "--config", path], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = subprocess.run(_FLOW + [path], env=_ENV, capture_output=True, text=True, timeout=60)
     assert proc.returncode == EXIT_USAGE
     assert "W1 has 0 saddles" in proc.stderr
+
+
+def test_a_leg_past_the_step_cap_exits_3(tmp_path):
+    # the bundled well scaled by 1/100 and by 1/1000 (mu1 = 0.01 and 0.001):
+    # the forward leg amplifies the seed's error, its steps shrink, and it
+    # would run for minutes; each side ends at MAX_STEPS steps instead.
+    # Both processes run at once and must end within wall_clock_s seconds;
+    # they took 5.6 s and 7.5 s one at a time on a 2-core machine
+    wall_clock_s = 40.0
+    procs = []
+    for scale in (100, 1000):
+        (tmp_path / str(scale)).mkdir()
+        path = _unequal_with(tmp_path / str(scale),
+                             W1=f"1/{4 * scale}*x1^4 - 1/{2 * scale}*x1^2 + 1/{4 * scale}")
+        procs.append(subprocess.Popen(_FLOW + [path], env=_ENV, stdout=subprocess.DEVNULL,
+                                      stderr=subprocess.PIPE, text=True))
+    deadline = time.monotonic() + wall_clock_s
+    try:
+        for proc in procs:
+            err = proc.communicate(timeout=max(deadline - time.monotonic(), 0.1))[1]
+            assert proc.returncode == EXIT_NUMERIC
+            assert f"integration failed: the leg took {MAX_STEPS} steps" in err
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait()
 
 
 BIG = "1" + "0" * 400
@@ -474,7 +505,9 @@ def test_numerical_failure_exits_3(capsys, monkeypatch):
     # the minimum, where z1 = x1 throughout
     from susyfact import flow
     from susyfact.models import default_chain_config
-    still = flow.integrate(default_chain_config(), [1.0, 0.0, 1.0, 0.0, 0.0, 0.0], (0.0, 1.0))
+    cfg = default_chain_config()
+    still = flow.integrate(cfg, [1.0, 0.0, 1.0, 0.0, 0.0, 0.0], (0.0, 1.0),
+                           w1p=flow.well_data(cfg).w1p)
     monkeypatch.setattr(flow, "heteroclinic_gamma1", lambda cfg, endpoint_tol: still)
     assert main(["flow", "--config", "chain_unequal"]) == EXIT_NUMERIC
     assert "does not increase" in capsys.readouterr().err

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from susyfact.flow import (ORDER, PROBE_SAMPLES, PROBE_T_MAX, STEP_EPS, FlowError, _first_entry,
                            _horner, _screened_out, _taylor_coefficients, heteroclinic_gamma1,
                            integrate, lyapunov_report, nu_apply, nu_components, nu_iterates,
-                           phi0_gains, quintic_bound_probe, well_data)
+                           phi0_gains, point_case, quintic_bound_probe, well_data)
 from susyfact.models import ChainConfig, UnsupportedConfig, chain_phi0, default_chain_config
 from susyfact.polyalg import Poly, parse_poly
 
@@ -30,6 +30,11 @@ def cfg():
 @pytest.fixture(scope="module")
 def gamma1(cfg):
     return heteroclinic_gamma1(cfg)
+
+
+@pytest.fixture(scope="module")
+def w1p(cfg):
+    return well_data(cfg).w1p
 
 
 # ------------------------------------------------------------ symbolic field
@@ -327,10 +332,10 @@ def test_phi0_gains_match_phi0_differences(cfg, name):
     assert rep["min_increment"] == gains.min() > 0
 
 
-def test_lyapunov_report_refuses_a_zero_gain(cfg):
+def test_lyapunov_report_refuses_a_zero_gain(cfg, w1p):
     # from the minimum z1 = x1 for all time, so nu(phi0) vanishes on every
     # interval: on an orbit that moves, a zero gain is a numerical failure
-    traj = integrate(cfg, [1.0, 0.0, 1.0, 0.0, 0.0, 0.0], (0.0, 1.0), n_samples=5)
+    traj = integrate(cfg, [1.0, 0.0, 1.0, 0.0, 0.0, 0.0], (0.0, 1.0), n_samples=5, w1p=w1p)
     with pytest.raises(FlowError, match="does not increase"):
         lyapunov_report(cfg, traj)
 
@@ -365,18 +370,91 @@ def test_trajectory_csv(cfg, gamma1):
 
 # --------------------------------------------------------------- power laws
 
-PROBE_POINTS = [[0.5, 0.0, 0.1, 0.0, 0.0, 0.0],     # generic: slope 1
-                [0.5, 0.3, 0.5, 0.0, 0.0, 0.0],     # z = x, y != 0: slope 3
-                [0.5, 0.0, 0.5, 0.0, 0.0, 0.0]]     # z = x, y = 0: slope 5
+PROBE_POINTS = [[0.5, 0.0, 0.1, 0.0, 0.0, 0.0],     # generic: order 1
+                [0.5, 0.3, 0.5, 0.0, 0.0, 0.0],     # z = x, y != 0: order 3
+                [0.5, 0.0, 0.5, 0.0, 0.0, 0.0]]     # z = x, y = 0: order 5
 
 
 def test_quintic_probe_slopes(cfg):
     rows = quintic_bound_probe(cfg, PROBE_POINTS)
     want = {"generic": 1.0, "y_nonzero_degenerate": 3.0, "fully_degenerate": 5.0}
+    assert [r["case"] for r in rows] == list(want)
     for r in rows:
-        assert abs(r["slope"] - want[r["case"]]) < 1e-2
+        assert r["slope"] == want[r["case"]]
         assert r["min_delta"] > 0.0
         assert np.isfinite(r["C_witness"]) and r["C_witness"] > 0.0
+
+
+@pytest.mark.parametrize("point, case, slope", [
+    ([0.5, 1e-13, 0.5, 0.0, 0.0, 0.0], "y_nonzero_degenerate", 3.0),
+    ([0.5, 0.0, 0.5 + 1e-13, 0.0, 0.0, 0.0], "generic", 1.0),
+], ids=["y-off-by-1e-13", "z-off-by-1e-13"])
+def test_quintic_probe_decides_near_degenerate_points_exactly(cfg, point, case, slope):
+    # 1e-13 off a degenerate class is off it: the order is that of the
+    # exact point, not what a fit over t >= 1e-4 sees (order 5 at both)
+    (r,) = quintic_bound_probe(cfg, [point])
+    assert (r["case"], r["slope"]) == (case, slope) and point_case(cfg, point) == case
+
+
+def _assert_the_cascade(cfg, point, r):
+    """The probe's row r at point: its order k is the first with
+    nu^k(phi0)(x) != 0, exactly, and leading_coefficient k! is that value."""
+    rep = cascade_check(cfg, point)
+    k = int(r["slope"])
+    assert r["slope"] == k and r["case"] == rep.case
+    assert not any(rep.values[:k - 1]) and rep.values[k - 1] != 0
+    assert r["leading_coefficient"] == float(rep.values[k - 1] / math.factorial(k))
+
+
+def test_quintic_probe_leading_coefficient_is_the_cascade(cfg):
+    for point, r in zip(PROBE_POINTS, quintic_bound_probe(cfg, PROBE_POINTS)):
+        _assert_the_cascade(cfg, point, r)
+
+
+@settings(max_examples=40, deadline=None, phases=NO_SHRINK_PHASES)
+@given(st.lists(st.fractions(Fraction(-3, 2), Fraction(3, 2), max_denominator=64),
+                min_size=3, max_size=3),
+       st.sampled_from(["as drawn", "z = x", "z = x, y = 0"]))
+def test_quintic_probe_leading_coefficient_property(cfg, xyz, tie):
+    # a rational first block, with z1 = x1, and also y1 = 0, a third of the
+    # time each, so that all three orders are drawn; the stationary points
+    # x1 = -1, 0, 1 (z1 = x1, y1 = 0) are refused
+    x, y, z = xyz
+    if tie != "as drawn":
+        z = x
+    if tie == "z = x, y = 0":
+        y = 0
+    point = [float(x), float(y), float(z), 0.0, 0.0, 0.0]
+    if z == x and y == 0 and x in (-1, 0, 1):
+        with pytest.raises(UnsupportedConfig, match="stationary point"):
+            quintic_bound_probe(cfg, [point])
+        return
+    (r,) = quintic_bound_probe(cfg, [point])
+    _assert_the_cascade(cfg, point, r)
+
+
+def test_quintic_probe_delta_follows_its_leading_term(cfg):
+    # the integrated Delta at the first sample, t = 1e-4, against c t^k:
+    # the numerical evidence that the exact order and coefficient describe it
+    for r in quintic_bound_probe(cfg, PROBE_POINTS):
+        t = 1e-4
+        ratio = r["min_delta"] / (r["leading_coefficient"] * t ** r["slope"])
+        assert abs(ratio - 1.0) <= 1e-3, (r["case"], ratio)
+
+
+def test_quintic_probe_builds_the_well_polynomials_once(cfg, monkeypatch):
+    # W1''s coefficients and phi0 are built once per call, not per point
+    from susyfact import flow
+    calls = {"chain_phi0": 0, "_w1_prime": 0}
+    for name in calls:
+        fn = getattr(flow, name)
+
+        def counted(*args, fn=fn, name=name, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(flow, name, counted)
+    quintic_bound_probe(cfg, PROBE_POINTS)
+    assert calls == {"chain_phi0": 1, "_w1_prime": 1}
 
 
 @pytest.mark.parametrize("x1", [0.3, 0.32, 0.5945])
@@ -385,7 +463,7 @@ def test_quintic_probe_fully_degenerate_below_resolution(cfg, x1):
     # atol-1e-16 solve of the flow resolves; its series has no cancellation
     (r,) = quintic_bound_probe(cfg, [[x1, 0.0, x1, 0.0, 0.0, 0.0]])
     assert r["case"] == "fully_degenerate"
-    assert abs(r["slope"] - 5.0) < 1e-2
+    assert r["slope"] == 5.0
     assert r["min_delta"] > 0.0
 
 
@@ -420,9 +498,8 @@ def test_quintic_probe_against_augmented_dop853(cfg):
         assert abs(r["C_witness"] - want) <= 1e-6 * want, (r["case"], r["C_witness"], want)
 
 
-def test_integrate_events_and_direction(cfg):
-    traj = integrate(cfg, [0.5, 0.0, 0.1, 0.0, 0.0, 0.0], (0.0, 1.0),
-                     n_samples=50)
+def test_integrate_events_and_direction(cfg, w1p):
+    traj = integrate(cfg, [0.5, 0.0, 0.1, 0.0, 0.0, 0.0], (0.0, 1.0), n_samples=50, w1p=w1p)
     assert len(traj.times) == 50
     assert np.all(np.diff(traj.times) > 0)
 
@@ -469,9 +546,9 @@ def test_orbit_pinned(cfg, name):
     assert got == PINNED_ORBITS[name]
 
 
-def test_probe_steps_pinned(cfg):
+def test_probe_steps_pinned(cfg, w1p):
     for point, pinned in zip(PROBE_POINTS, PINNED_PROBES):
-        dense = integrate(cfg, point, (0.0, PROBE_T_MAX)).meta["dense"]
+        dense = integrate(cfg, point, (0.0, PROBE_T_MAX), w1p=w1p).meta["dense"]
         assert (len(dense.t0), _coef_digest(dense)) == pinned
 
 
@@ -507,10 +584,10 @@ def _stepping(monkeypatch, steps):
 
 @pytest.mark.parametrize("after", [UNDERFLOW_STEP, NAN_STEP, SERIES_OVERFLOW],
                          ids=["underflow", "nan", "series-overflow"])
-def test_failure_after_the_entry_step_returns_the_hit(cfg, monkeypatch, after):
+def test_failure_after_the_entry_step_returns_the_hit(cfg, w1p, monkeypatch, after):
     # the integration ends at the entry, so a step after it cannot fail it
     _stepping(monkeypatch, [ENTRY_STEP, after])
-    traj = integrate(cfg, [0.0] * 6, (0.0, 10.0), n_samples=5, stop_near=BALL)
+    traj = integrate(cfg, [0.0] * 6, (0.0, 10.0), n_samples=5, stop_near=BALL, w1p=w1p)
     h = (STEP_EPS / ENTRY_STEP[0][ORDER]) ** (1.0 / ORDER)
     assert traj.meta["terminated_by_event"]
     assert len(traj.meta["dense"].t0) == 1
@@ -531,15 +608,16 @@ BALL_BEHIND = (np.array([-5.0, 0.0, 0.0, 0.0, 0.0, 0.0]), 1e-7)
     ([OVERFLOW_ENTRY_STEP], BALL, "not finite at t = 100.0"),
 ], ids=["underflow-first", "series-overflow-before-any-entry", "underflow-before-any-entry",
         "overflow-on-entry"])
-def test_failure_before_or_on_the_entry_step_raises(cfg, monkeypatch, steps, ball, match):
+def test_failure_before_or_on_the_entry_step_raises(cfg, w1p, monkeypatch, steps, ball,
+                                                     match):
     # a failure that no entry precedes raises, and so does a state that is
     # not finite at the end of the entry step itself
     _stepping(monkeypatch, steps)
     with pytest.raises(FlowError, match=match):
-        integrate(cfg, [0.0] * 6, (0.0, 100.0), n_samples=5, stop_near=ball)
+        integrate(cfg, [0.0] * 6, (0.0, 100.0), n_samples=5, stop_near=ball, w1p=w1p)
 
 
-def test_a_power_past_the_float_range_is_a_flow_error(cfg):
+def test_a_power_past_the_float_range_is_a_flow_error(cfg, w1p):
     # the bundled W1' = x^3 - x: (1e200)^3 is past the float range, which
     # Python's ** reports as OverflowError
     with pytest.raises(FlowError, match="x\\^3 overflows at x = 1e\\+200"):
@@ -548,7 +626,7 @@ def test_a_power_past_the_float_range_is_a_flow_error(cfg):
     start = [0.0] * 6
     start[x1] = 1e200
     with pytest.raises(FlowError, match="x\\^3 overflows"):
-        integrate(cfg, start, (0.0, 1.0))
+        integrate(cfg, start, (0.0, 1.0), w1p=w1p)
 
 
 @st.composite

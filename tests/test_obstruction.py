@@ -23,7 +23,7 @@ from susyfact.models import (ChainConfig, chain_phi0, chain_var, default_chain_c
 from susyfact.polyalg import Poly, parse_poly
 from susyfact.spectral import eigenvector
 
-from conftest import NO_SHRINK_PHASES, as_sympy, linearization_N
+from conftest import NO_SHRINK_PHASES, as_sympy, exact_value, linearization_N
 
 
 @pytest.fixture(scope="module")
@@ -547,11 +547,6 @@ def test_a_well_with_another_root_beyond_the_edge_keeps_the_full_leg(monkeypatch
             == canonical_json(ob.run_obstruction(cfg, gamma1=full).to_json_dict()))
 
 
-def _exact_value(p: Poly, point) -> Fraction:
-    return sum(c * math.prod(Fraction(v) ** e for v, e in zip(point, exps))
-               for (exps, _), c in p.terms.items())
-
-
 @settings(max_examples=40, deadline=None, phases=NO_SHRINK_PHASES)
 @given(st.sampled_from(sorted(CROSSING_WELLS)),
        st.lists(st.fractions(-3, 3, max_denominator=1000), min_size=5, max_size=5),
@@ -563,15 +558,15 @@ def test_phi0_is_least_on_the_bump_edge_where_y1_is_0_and_z1_is_b(name, rest, x,
     cfg = ChainConfig.from_json_dict(dict(default_chain_config().to_json_dict(),
                                           W1=CROSSING_WELLS[name][0]))
     phi0, b = chain_phi0(cfg), Fraction(ob.BUMP.hi)
-    c = _exact_value(phi0, (b, 0, b, 0, 0, 0))
-    assert _exact_value(phi0, [b] + rest) >= c
+    c = exact_value(phi0, (b, 0, b, 0, 0, 0))
+    assert exact_value(phi0, [b] + rest) >= c
     test = flow._below_level(flow.well_data(cfg).w1p, b, 1)
     states = [[x, y, z]]
-    r = 2 * float(_exact_value(cfg.W1, (b,) + (0,) * 5) - _exact_value(cfg.W1, (x,) + (0,) * 5))
+    r = 2 * float(exact_value(cfg.W1, (b,) + (0,) * 5) - exact_value(cfg.W1, (x,) + (0,) * 5))
     if r >= y * y:
         states.append([x, y, x - math.sqrt(r - y * y)])
     for state in states:
-        assert test(state) == (state[0] > b and _exact_value(phi0, state + [0, 0, 0]) < c)
+        assert test(state) == (state[0] > b and exact_value(phi0, state + [0, 0, 0]) < c)
     # on {x1 = b} itself the test never holds, however low phi0 is
     assert not test([float(b), 0.0, float(b)])
 
